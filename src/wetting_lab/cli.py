@@ -7,16 +7,12 @@ the one intentionally volatile field).
 
 Exit codes: 0 success, 1 parameter error, 2 computational refusal (oracle or
 enumeration caps, exhausted truncation), 3 flagged-inconsistent results.
-
-Set WETTING_LAB_CACHE to a directory to memoise expensive sweeps
-(content-addressed by the hash of the resolved configuration).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
@@ -46,36 +42,6 @@ from .saw import (
 )
 from .spectral import localization_certificate
 from .transfer import free_energy, log_partition
-
-
-def _cache_dir() -> str | None:
-    return os.environ.get("WETTING_LAB_CACHE") or None
-
-
-def _cache_key(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:32]
-
-
-def _cache_get(payload: dict):
-    d = _cache_dir()
-    if not d:
-        return None
-    path = os.path.join(d, _cache_key(payload) + ".json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            return json.load(fh)["result"]
-    return None
-
-
-def _cache_put(payload: dict, result) -> None:
-    d = _cache_dir()
-    if not d:
-        return
-    os.makedirs(d, exist_ok=True)
-    path = os.path.join(d, _cache_key(payload) + ".json")
-    with open(path, "w") as fh:
-        json.dump({"config": payload, "result": result}, fh, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -122,27 +88,20 @@ def _ints(text: str) -> list[int]:
 
 
 def _cmd_free_energy(args) -> int:
-    cfg = {
-        "subcommand": "free-energy", "kernel": args.kernel, "pot": args.pot,
-        "tol": args.tol, "L_cross": args.L_cross, "c0": args.c0,
+    kernel = parse_kernel_spec(args.kernel, c0=args.c0)
+    pot = parse_potential_spec(args.pot)
+    fe = free_energy(kernel, pot, tol=args.tol, L_cross=args.L_cross)
+    result = {
+        "f_hat": fe.value, "eigenvalue": fe.eigenvalue,
+        "residual": fe.residual, "h_max": fe.h_max,
+        "cross_raw": fe.cross_raw, "gap": fe.gap, "flagged": fe.flagged,
+        "trace": list(fe.trace),
+        "rho": rho(pot, kernel.sigma2).value,
     }
-    cached = _cache_get(cfg)
-    if cached is None:
-        kernel = parse_kernel_spec(args.kernel, c0=args.c0)
-        pot = parse_potential_spec(args.pot)
-        fe = free_energy(kernel, pot, tol=args.tol, L_cross=args.L_cross)
-        cached = {
-            "f_hat": fe.value, "eigenvalue": fe.eigenvalue,
-            "residual": fe.residual, "h_max": fe.h_max,
-            "cross_raw": fe.cross_raw, "gap": fe.gap, "flagged": fe.flagged,
-            "trace": list(fe.trace),
-            "rho": rho(pot, kernel.sigma2).value,
-        }
-        _cache_put(cfg, cached)
     with open(os.path.join(args.out_dir, "free_energy.json"), "w") as fh:
-        json.dump(cached, fh, indent=2, sort_keys=True)
+        json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return 3 if cached["flagged"] else 0
+    return 3 if fe.flagged else 0
 
 
 def _cmd_phase_scan(args) -> int:
@@ -211,24 +170,18 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_verify_clt(args) -> int:
-    cfg = {
-        "subcommand": "verify-clt", "kernel": args.kernel,
-        "L_min": args.L_min, "L_max": args.L_max, "c0": args.c0,
-    }
-    cached = _cache_get(cfg)
-    if cached is None:
-        kernel = parse_kernel_spec(args.kernel, c0=args.c0)
-        grid = []
-        L = max(1, args.L_min)
-        while L <= args.L_max:
-            grid.append(L)
-            L *= 2
-        if grid[-1] != args.L_max:
-            grid.append(args.L_max)
-        cached = [[L, v] for L, v in clt_band(kernel, grid)]
-        _cache_put(cfg, cached)
+    if args.L_max < max(1, args.L_min):
+        raise ParameterError("--L-max must be at least 1 and at least --L-min")
+    kernel = parse_kernel_spec(args.kernel, c0=args.c0)
+    grid = []
+    L = max(1, args.L_min)
+    while L <= args.L_max:
+        grid.append(L)
+        L *= 2
+    if grid[-1] != args.L_max:
+        grid.append(args.L_max)
     _write_csv(os.path.join(args.out_dir, "clt.csv"),
-               ("L", "sqrt_sigma2L_times_Z"), [tuple(r) for r in cached])
+               ("L", "sqrt_sigma2L_times_Z"), clt_band(kernel, grid))
     return 0
 
 
@@ -368,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument("--c0", type=float, default=1.0,
                        help="kernel class constant (reported, default 1)")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--deterministic", action="store_true",
                        help="zero volatile fields (timings) in outputs")
 

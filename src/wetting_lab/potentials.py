@@ -60,6 +60,8 @@ class PinningPotential:
 
 
 def _build(eps: tuple[float, ...], tail_bound: float, tag: str) -> PinningPotential:
+    if not all(math.isfinite(e) for e in eps):
+        raise ParameterError("pinning rewards must be finite")
     if any(e < 0 for e in eps):
         raise ParameterError("pinning rewards must be nonnegative")
     excess = tuple(j for j, e in enumerate(eps) if e > LOG2)

@@ -85,8 +85,8 @@ class EigenEstimate:
 
 
 def top_eigenvalue(op: PinnedOperator, tol: float = 1e-10,
-                   max_iter: int = 20000, shift: float = 0.0) -> EigenEstimate:
-    """Power iteration with optional spectral shift and Rayleigh stopping.
+                   max_iter: int = 20000) -> EigenEstimate:
+    """Power iteration with Rayleigh stopping.
 
     The operator is nonnegative and positive semidefinite (p(0) >= 1/2), so a
     positive start vector overlaps the top eigenvector.  Near a band edge the
@@ -100,12 +100,12 @@ def top_eigenvalue(op: PinnedOperator, tol: float = 1e-10,
     converged = False
     while it < max_iter:
         it += 1
-        w = op.matvec(v) + shift * v
+        w = op.matvec(v)
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             return EigenEstimate(0.0, 0.0, it, True)
         w /= nw
-        new_lam = float(w @ op.matvec(w)) + shift
+        new_lam = float(w @ op.matvec(w))
         if it > 1 and abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
             lam = new_lam
             v = w
@@ -113,8 +113,8 @@ def top_eigenvalue(op: PinnedOperator, tol: float = 1e-10,
             break
         lam = new_lam
         v = w
-    res = float(np.linalg.norm(op.matvec(v) - (lam - shift) * v))
-    return EigenEstimate(value=lam - shift, residual=res, iterations=it,
+    res = float(np.linalg.norm(op.matvec(v) - lam * v))
+    return EigenEstimate(value=lam, residual=res, iterations=it,
                          converged=converged)
 
 

@@ -22,7 +22,7 @@ raises TruncationError with the partial result attached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,108 +32,6 @@ from .potentials import PinningPotential, make_family
 
 DEFECT_TOL = 1e-12
 _STATE_CAP = 1 << 17
-
-
-def logsumexp(arr: np.ndarray) -> float:
-    arr = np.asarray(arr, dtype=float)
-    m = arr.max(initial=-math.inf)
-    if not math.isfinite(m):
-        return -math.inf
-    return m + math.log(np.exp(arr - m).sum())
-
-
-# ---------------------------------------------------------------------------
-# table API: one recursion step at a time, log domain
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransferTable:
-    """Log-weights of walled bridges of a fixed length, indexed by end state.
-
-    States are wall-shifted: state s is absolute height s - wall, so the wall
-    is always state 0 and ``logw[s]`` is the log weight of paths from the
-    start to state s.  Missing states are explicit -inf, never silent zeros.
-    """
-
-    length: int
-    wall: int
-    start: int          # state index of the start height
-    h_max: int          # highest state; the window is [0, h_max]
-    logw: np.ndarray
-    defect_flag: bool
-    potential: PinningPotential | None
-    defect_tol: float = DEFECT_TOL
-
-    def heights(self) -> np.ndarray:
-        return np.arange(self.h_max + 1) - self.wall
-
-
-def _state_eps(wall: int, n: int, pot: PinningPotential | None) -> np.ndarray:
-    eps = np.zeros(n)
-    if pot is not None and wall < n:
-        eps[wall:] = pot.eps_array(n - wall)
-    return eps
-
-
-def initial_table(
-    kernel: WalkKernel,
-    *,
-    wall: int = 0,
-    pot: PinningPotential | None = None,
-    h_max: int | None = None,
-    defect_tol: float = DEFECT_TOL,
-) -> TransferTable:
-    """Length-1 table: exactly the kernel row from the start state."""
-    if wall < 0:
-        raise ParameterError("wall depth must be a nonnegative integer")
-    if h_max is None:
-        h_max = max(4 * kernel.max_step, wall + 4 * kernel.max_step, 16)
-    if h_max < kernel.max_step:
-        raise ParameterError("h_max must be at least the kernel max_step")
-    n = h_max + 1
-    start = wall
-    logw = np.full(n, -math.inf)
-    for k, lp in zip(kernel.offsets, kernel.log_probs):
-        s = start + k
-        if 0 <= s < n:
-            logw[s] = lp
-    return TransferTable(
-        length=1, wall=wall, start=start, h_max=h_max, logw=logw,
-        defect_flag=False, potential=pot, defect_tol=defect_tol,
-    )
-
-
-def transfer_step(table: TransferTable, kernel: WalkKernel) -> TransferTable:
-    """Extend by one step; the previous endpoint becomes interior and is
-    weighted by its pinning reward."""
-    if table.h_max < kernel.max_step:
-        raise ParameterError("h_max must be at least the kernel max_step")
-    n = table.h_max + 1
-    a = table.logw + _state_eps(table.wall, n, table.potential)
-    out = np.full(n, -math.inf)
-    stack = []
-    for k, lp in zip(kernel.offsets, kernel.log_probs):
-        # state z feeds state z - k with weight p(k)
-        shifted = np.full(n, -math.inf)
-        if k >= 0:
-            shifted[: n - k] = a[k:] + lp
-        else:
-            shifted[-k:] = a[: n + k] + lp
-        stack.append(shifted)
-    big = np.vstack(stack)
-    m = big.max(axis=0)
-    good = np.isfinite(m)
-    out[good] = m[good] + np.log(np.exp(big[:, good] - m[good]).sum(axis=0))
-    # relative mass near the truncation edge
-    mm = out.max()
-    defect = table.defect_flag
-    if math.isfinite(mm):
-        w = np.exp(out - mm)
-        defect = defect or (
-            w[n - kernel.max_step:].sum() / w.sum() > table.defect_tol
-        )
-    return replace(table, length=table.length + 1, logw=out, defect_flag=defect)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +85,16 @@ def _diag_for(window: _Window, pot: PinningPotential | None,
 
 
 def _sweep(kernel: WalkKernel, L: int, window: _Window,
-           diag: np.ndarray | None, defect_tol: float):
-    """Run L steps; return (logZ profile for lengths 1..L, defect flag)."""
+           diag: np.ndarray | None, defect_tol: float,
+           keep: tuple[int, ...] = ()):
+    """Run L steps; return (logZ profile for lengths 1..L, defect flag,
+    {t: scaled state vector after t steps} for each t in ``keep``)."""
     parr = kernel.prob_array()
     mstep = kernel.max_step
     n = window.n
     v = np.zeros(n)
     v[window.start] = 1.0
+    kept = {0: v} if 0 in keep else {}
     scale = 0.0
     logz = np.full(L + 1, -math.inf)
     for t in range(1, L + 1):
@@ -201,18 +102,21 @@ def _sweep(kernel: WalkKernel, L: int, window: _Window,
         v = np.convolve(u, parr, mode="same")
         m = float(v.max())
         if m <= 0.0:
-            return logz, False  # every path died inside the window
+            return logz, False, kept  # every path died inside the window
         v /= m
         scale += math.log(m)
-        tot = float(v.sum())
         edge = float(v[n - mstep:].sum())
         if not window.walled:
             edge = max(edge, float(v[:mstep].sum()))
-        if edge / tot > defect_tol:
-            return logz, True
+        # v.max() == 1 now, so v.sum() >= 1: edge <= defect_tol cannot trip
+        # the relative test, and the sum is only needed past that point
+        if edge > defect_tol and edge / float(v.sum()) > defect_tol:
+            return logz, True, kept
+        if t in keep:
+            kept[t] = v
         ve = float(v[window.end])
         logz[t] = scale + math.log(ve) if ve > 0.0 else -math.inf
-    return logz, False
+    return logz, False, kept
 
 
 def partition_profile(
@@ -235,7 +139,7 @@ def partition_profile(
         if window.n > _STATE_CAP:
             break
         diag = _diag_for(window, pot, extra_eps)
-        logz, defect = _sweep(kernel, L_max, window, diag, defect_tol)
+        logz, defect, _ = _sweep(kernel, L_max, window, diag, defect_tol)
         last = logz
         if not defect:
             return logz
@@ -284,24 +188,6 @@ def zero_contact_moment(kernel: WalkKernel, L: int, b: float) -> float:
     return math.exp(num - den)
 
 
-def _free_vector(kernel: WalkKernel, steps: int, half_width: int,
-                 defect_tol: float):
-    """Endpoint distribution (unnormalised, scaled) of a free walk from 0."""
-    n = 2 * half_width + 1
-    parr = kernel.prob_array()
-    v = np.zeros(n)
-    v[half_width] = 1.0
-    scale = 0.0
-    for _ in range(steps):
-        v = np.convolve(v, parr, mode="same")
-        m = float(v.max())
-        v /= m
-        scale += math.log(m)
-    mstep = kernel.max_step
-    edge = max(float(v[:mstep].sum()), float(v[n - mstep:].sum()))
-    return v, scale, edge / float(v.sum()) > defect_tol
-
-
 def midpoint_prob(kernel: WalkKernel, L: int, j: int,
                   *, defect_tol: float = DEFECT_TOL) -> float:
     """P(both heights at times floor(L/2), floor(L/2)+1 stay >= -j) under the
@@ -319,13 +205,15 @@ def midpoint_prob(kernel: WalkKernel, L: int, j: int,
         w = (max(w, j + 2 * kernel.max_step, 16) + 2 * kernel.max_step) << grow
         if 2 * w + 1 > _STATE_CAP:
             break
-        f, _, d1 = _free_vector(kernel, mid, w, defect_tol)
-        g, _, d2 = _free_vector(kernel, L - mid - 1, w, defect_tol)
-        if d1 or d2:
+        window = _Window(base=-w, n=2 * w + 1, start=w, end=w, walled=False)
+        # one sweep serves both legs: the second is the first's prefix
+        _, defect, kept = _sweep(kernel, mid, window, None, defect_tol,
+                                 keep=(L - mid - 1, mid))
+        if defect:
             continue
-        heights = np.arange(2 * w + 1) - w
-        mask = heights >= -j
-        # both vectors carry the same dropped log scales, which cancel here
+        f, g = kept[mid], kept[L - mid - 1]
+        mask = np.arange(window.n) + window.base >= -j
+        # num and den carry the same dropped log scales, which cancel here
         den = float(f @ np.convolve(g, parr, mode="same"))
         num = float((f * mask) @ (np.convolve(g * mask, parr, mode="same")))
         return num / den

@@ -49,16 +49,23 @@ def test_free_energy_outputs_and_determinism(tmp_path):
     assert _sha(d1 / "free_energy.json") == _sha(d3 / "free_energy.json")
 
 
-def test_cache_roundtrip(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("WETTING_LAB_CACHE", str(cache))
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    for out in (out1, out2):
-        rc = main(["verify-clt", "--kernel", "binomial:sigma2=0.5",
-                   "--L-max", "256", "--out-dir", str(out)])
-        assert rc == 0
-    assert len(list(cache.glob("*.json"))) == 1
-    assert _sha(out1 / "clt.csv") == _sha(out2 / "clt.csv")
+def test_workers_default_is_one(tmp_path):
+    rc = main(["verify-clt", "--kernel", "binomial:sigma2=0.5",
+               "--L-max", "256", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert json.load(open(tmp_path / "run.json"))["options"]["workers"] == 1
+
+
+def test_verify_clt_empty_range_is_parameter_error(tmp_path):
+    rc = main(["verify-clt", "--kernel", "binomial:sigma2=0.5",
+               "--L-min", "8", "--L-max", "4", "--out-dir", str(tmp_path)])
+    assert rc == 1
+
+
+def test_nan_reward_is_parameter_error(tmp_path):
+    rc = main(["free-energy", "--kernel", "binomial:sigma2=0.5",
+               "--pot", "single:j=0,eps=nan", "--out-dir", str(tmp_path)])
+    assert rc == 1
 
 
 def test_phase_scan_csv_contract(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,14 +8,15 @@ from wetting_lab.kernels import make_binomial, make_sos
 from wetting_lab.potentials import make_family
 from wetting_lab.rw_oracle import oracle_partition
 from wetting_lab.transfer import (
-    TransferTable,
+    DEFECT_TOL,
+    _diag_for,
+    _sweep,
+    _Window,
     free_energy,
-    initial_table,
     log_partition,
     midpoint_prob,
     partition_profile,
     pinned_expectation,
-    transfer_step,
     zero_contact_moment,
 )
 
@@ -57,55 +59,61 @@ def test_partition_monotone_in_each_level():
         assert z1 > z0
 
 
-def test_initial_table_is_kernel_row():
-    t = initial_table(K5)
-    assert t.length == 1
-    assert t.logw[0] == pytest.approx(math.log(0.5))
-    assert t.logw[1] == pytest.approx(math.log(0.25))
-    assert np.all(np.isneginf(t.logw[2:]))
-
-
-def test_table_steps_match_profile():
-    pot = make_family("list", values=[0.2, 0.0, 0.1])
-    prof = partition_profile(K5, 6, wall=1, pot=pot)
-    t = initial_table(K5, wall=1, pot=pot, h_max=40)
-    for L in range(2, 7):
-        t = transfer_step(t, K5)
-        assert t.logw[t.start] == pytest.approx(prof[L], abs=1e-12)
-    assert not t.defect_flag
-
-
 def test_zero_potential_step_matches_plain():
     zero = make_family("list", values=[0.0, 0.0])
-    a = transfer_step(initial_table(K5, pot=zero), K5)
-    b = transfer_step(initial_table(K5, pot=None), K5)
-    np.testing.assert_allclose(a.logw, b.logw)
+    for wall in (None, 0):
+        a = partition_profile(K5, 64, wall=wall, pot=zero)
+        b = partition_profile(K5, 64, wall=wall, pot=None)
+        assert np.array_equal(a, b)
 
 
 def test_defect_flag_trips_on_tiny_window():
-    t = initial_table(K5, h_max=2)
-    for _ in range(12):
-        t = transfer_step(t, K5)
-    assert t.defect_flag
+    window = _Window(base=0, n=3, start=0, end=0, walled=True)
+    _, defect, _ = _sweep(K5, 12, window, None, DEFECT_TOL)
+    assert defect
 
 
 def test_full_matrix_symmetry():
     pot = make_family("list", values=[0.15, 0.0, 0.3, 0.05])
-    h = 8
+    n = 9
     L = 5
-    n = h + 1
     W = np.zeros((n, n))
     for i in range(n):
-        logw = np.full(n, -math.inf)
-        for k, lp in zip(K5.offsets, K5.log_probs):
-            if 0 <= i + k <= h:
-                logw[i + k] = lp
-        t = TransferTable(length=1, wall=0, start=i, h_max=h, logw=logw,
-                          defect_flag=False, potential=pot)
-        for _ in range(L - 1):
-            t = transfer_step(t, K5)
-        W[i] = np.exp(t.logw)
+        for j in range(n):
+            window = _Window(base=0, n=n, start=i, end=j, walled=True)
+            # the window is deliberately tight: weights, not the flag, matter
+            logz, _, _ = _sweep(K5, L, window, _diag_for(window, pot, None),
+                                math.inf)
+            W[i, j] = math.exp(logz[L])
     np.testing.assert_allclose(W, W.T, rtol=1e-12, atol=1e-300)
+
+
+def _midpoint_by_enumeration(kernel, L, js):
+    """Midpoint probabilities from every bridge of length L, summed directly."""
+    mid = L // 2
+    steps = list(zip(kernel.offsets, kernel.probs))
+    den = 0.0
+    num = dict.fromkeys(js, 0.0)
+    for path in itertools.product(steps, repeat=L):
+        if sum(k for k, _ in path) != 0:
+            continue
+        w = math.prod(p for _, p in path)
+        h_mid = sum(k for k, _ in path[:mid])
+        low = min(h_mid, h_mid + path[mid][0])
+        den += w
+        for j in js:
+            if low >= -j:
+                num[j] += w
+    return {j: num[j] / den for j in js}
+
+
+def test_midpoint_matches_enumeration():
+    for s2 in (0.5, 0.1):
+        k = make_binomial(s2)
+        for L in range(2, 10):
+            want = _midpoint_by_enumeration(k, L, (0, 1))
+            for j, p in want.items():
+                assert midpoint_prob(k, L, j) == pytest.approx(p, rel=1e-12)
 
 
 def test_midpoint_examples():
