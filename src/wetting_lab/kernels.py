@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, spec_fields, spec_number
 
 SIGMA2_MAX = 0.5
 _EQ_SLACK = 1e-12
@@ -164,13 +164,21 @@ def make_sos(beta: float, tail_tol: float = 1e-12, c0: float = 1.0) -> WalkKerne
 def kernel_from_table(path: str, c0: float = 1.0) -> WalkKernel:
     """Load ``k p(k)`` rows for k >= 0; symmetry is implied."""
     pairs: dict[int, float] = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ParameterError(
+            f"cannot read kernel table {path!r}: {exc.strerror}") from exc
+    with fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            k_s, p_s = line.split()
-            k, p = int(k_s), float(p_s)
+            row = line.split()
+            if len(row) != 2:
+                raise ParameterError(f"kernel table row {line!r} is not 'k p(k)'")
+            k = spec_number(row[0], "kernel table k", int)
+            p = spec_number(row[1], "kernel table p(k)")
             if k < 0 or p < 0:
                 raise ParameterError("table rows must be k>=0 with p(k)>=0")
             pairs[k] = p
@@ -245,16 +253,11 @@ def parse_kernel_spec(spec: str, c0: float = 1.0) -> WalkKernel:
     head, rest = spec.split(":", 1)
     if head == "table":
         return kernel_from_table(rest, c0=c0)
-    kv: dict[str, float] = {}
-    for item in rest.split(","):
-        if not item:
-            continue
-        key, _, val = item.partition("=")
-        if not _:
-            raise ParameterError(f"malformed kernel spec field {item!r}")
-        kv[key] = float(val)
     if head == "binomial":
-        return make_binomial(kv.pop("sigma2"), c0=c0)
+        kv = spec_fields(head, rest, ("sigma2",))
+        return make_binomial(spec_number(kv["sigma2"], "sigma2"), c0=c0)
     if head == "sos":
-        return make_sos(kv.pop("beta"), tail_tol=kv.pop("tail_tol", 1e-12), c0=c0)
+        kv = spec_fields(head, rest, ("beta",), ("tail_tol",))
+        tail_tol = spec_number(kv.get("tail_tol", "1e-12"), "tail_tol")
+        return make_sos(spec_number(kv["beta"], "beta"), tail_tol=tail_tol, c0=c0)
     raise ParameterError(f"unknown kernel family {head!r}")

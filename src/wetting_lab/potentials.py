@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, spec_fields, spec_number
 
 LOG2 = math.log(2.0)
 
@@ -222,27 +222,31 @@ def parse_potential_spec(spec: str, amplitude: float | None = None) -> PinningPo
         raise ParameterError(f"malformed potential spec {spec!r}")
     head, rest = spec.split(":", 1)
     if head == "list":
-        with open(rest) as fh:
-            values = [float(line.strip()) for line in fh if line.strip()]
+        try:
+            fh = open(rest)
+        except OSError as exc:
+            raise ParameterError(
+                f"cannot read potential list {rest!r}: {exc.strerror}") from exc
+        with fh:
+            values = [spec_number(line, "eps") for line in fh if line.strip()]
         pot = make_family("list", values=values)
         return pot if amplitude is None else pot.scaled(amplitude)
-    kv: dict[str, str] = {}
-    for item in rest.split(","):
-        if not item:
-            continue
-        key, _, val = item.partition("=")
-        if not _:
-            raise ParameterError(f"malformed potential spec field {item!r}")
-        kv[key] = val
     if head == "single":
-        amp = amplitude if amplitude is not None else float(kv.get("eps", "1"))
-        return make_family("single", j=int(kv["j"]), amplitude=amp)
+        kv = spec_fields(head, rest, ("j",), ("eps",))
+        amp = spec_number(kv.get("eps", "1"), "eps")
+        return make_family("single", j=spec_number(kv["j"], "j", int),
+                           amplitude=amp if amplitude is None else amplitude)
     if head == "power":
-        amp = amplitude if amplitude is not None else float(kv.get("amp", "1"))
+        kv = spec_fields(head, rest, ("delta",), ("amp", "sign"))
+        amp = spec_number(kv.get("amp", "1"), "amp")
         return make_family(
-            "power", delta=float(kv["delta"]), amplitude=amp, sign=kv.get("sign", "+")
+            "power", delta=spec_number(kv["delta"], "delta"),
+            amplitude=amp if amplitude is None else amplitude,
+            sign=kv.get("sign", "+"),
         )
     if head == "exp":
-        amp = amplitude if amplitude is not None else float(kv.get("amp", "1"))
-        return make_family("exp", delta=float(kv["delta"]), amplitude=amp)
+        kv = spec_fields(head, rest, ("delta",), ("amp",))
+        amp = spec_number(kv.get("amp", "1"), "amp")
+        return make_family("exp", delta=spec_number(kv["delta"], "delta"),
+                           amplitude=amp if amplitude is None else amplitude)
     raise ParameterError(f"unknown potential family {head!r}")

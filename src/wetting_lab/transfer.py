@@ -258,7 +258,13 @@ def free_energy(
     delocalized phase.  Cross-check: two-point slope of log Z at L_cross.
     Disagreement beyond 10*tol flags the result but still returns it.
     """
-    from .spectral import pinned_operator, top_eigenvalue  # deferred: cycle
+    from .spectral import _eigen_windows  # deferred: cycle
+
+    def rate(eig) -> float:
+        return max(0.0, math.log(eig.value))
+
+    def settled(a, b) -> bool:
+        return abs(rate(b) - rate(a)) < tol
 
     trace = []
     if pot.exceeds_log2:
@@ -267,22 +273,15 @@ def free_energy(
             f"reward at level {j_star} exceeds log 2; stuck-at-level path "
             f"already gives rate >= {math.log(kernel.prob(0)) + pot.eps[j_star]:.6g}"
         )
-    h = h0 if h0 is not None else max(64, 4 * (pot.j_max + 1), 8 * kernel.max_step)
-    prev = None
-    eig = None
-    while True:
-        op = pinned_operator(kernel, pot, h)
-        eig = top_eigenvalue(op, tol=eig_tol)
-        f_h = max(0.0, math.log(eig.value))
+    if h0 is None:
+        h0 = max(64, 4 * (pot.j_max + 1), 8 * kernel.max_step)
+    windows = _eigen_windows(kernel, pot, h0, h_cap, eig_tol, settled)
+    for h, eig in windows:
         trace.append(f"h_max={h}: lambda={eig.value:.12g} residual={eig.residual:.3g}")
-        if prev is not None and abs(f_h - prev) < tol:
-            break
-        if 2 * h > h_cap:
-            trace.append("window cap reached before eigenvalue stabilised")
-            break
-        prev = f_h
-        h *= 2
-    primary = max(0.0, math.log(eig.value))
+    if len(windows) < 2 or not settled(windows[-2][1], windows[-1][1]):
+        trace.append("window cap reached before eigenvalue stabilised")
+    h, eig = windows[-1]
+    primary = rate(eig)
     prof = partition_profile(kernel, 2 * L_cross, wall=0, pot=pot)
     cross_raw = float(prof[2 * L_cross] - prof[L_cross]) / L_cross
     cross = max(0.0, cross_raw)

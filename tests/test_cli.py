@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 
+import pytest
+
 from wetting_lab.cli import main
 
 
@@ -17,6 +19,26 @@ def test_bad_kernel_spec_is_parameter_error(tmp_path):
     rc = main(["free-energy", "--kernel", "binomial:sigma2=0.9",
                "--pot", "single:j=0,eps=0.1", "--out-dir", str(tmp_path)])
     assert rc == 1
+
+
+@pytest.mark.parametrize("kernel, pot", [
+    ("binomial:", "single:j=0,eps=0.4"),
+    ("binomial:sigma2=0.5", "single:eps=0.4"),
+    ("binomial:sigma2=0.5,typo=3", "single:j=0,eps=0.4"),
+    ("binomial:sigma2=half", "single:j=0,eps=0.4"),
+    ("binomial:sigma2=0.5", "single:j=zero,eps=0.4"),
+    ("binomial:sigma2=0.5", "exp:delta=nan,amp=0.1"),
+    ("table:{missing}", "single:j=0,eps=0.4"),
+    ("binomial:sigma2=0.5", "list:{missing}"),
+])
+def test_malformed_spec_is_parameter_error(tmp_path, capsys, kernel, pot):
+    missing = str(tmp_path / "missing.txt")
+    rc = main(["certify-loc", "--kernel", kernel.format(missing=missing),
+               "--pot", pot.format(missing=missing),
+               "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("parameter error:") and "Traceback" not in err
 
 
 def test_refusal_exit_code(tmp_path):

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from wetting_lab.certificates import LOCALIZED, UNDETERMINED
-from wetting_lab.kernels import make_binomial
+from wetting_lab.kernels import make_binomial, make_sos
 from wetting_lab.potentials import make_family
 from wetting_lab.spectral import (
     localization_certificate,
@@ -40,16 +41,19 @@ def test_quotient_monotone_in_scale():
 
 
 def test_operator_dense_matches_matvec():
+    # dims 1..24 cover windows smaller than, equal to and just past the
+    # sos stencil (max_step 11, 23 taps)
     pot = make_family("list", values=[0.2, 0.0, 0.4, 0.1])
-    op = pinned_operator(K5, pot, 9)
-    dense = op.dense()
     rng = np.random.default_rng(3)
-    for _ in range(5):
-        x = rng.normal(size=op.dim)
-        np.testing.assert_allclose(op.matvec(x), dense @ x, rtol=1e-12)
-    np.testing.assert_allclose(dense, dense.T)
-    assert np.all(dense >= 0)
-    assert dense.sum(axis=1).max() <= math.exp(max(pot.eps)) + 1e-12
+    for kernel, h in itertools.product((K5, make_sos(2.5)), range(24)):
+        op = pinned_operator(kernel, pot, h)
+        dense = op.dense()
+        for _ in range(3):
+            x = rng.normal(size=op.dim)
+            np.testing.assert_allclose(op.matvec(x), dense @ x, rtol=1e-12)
+        np.testing.assert_allclose(dense, dense.T)
+        assert np.all(dense >= 0)
+        assert dense.sum(axis=1).max() <= math.exp(max(pot.eps)) + 1e-12
 
 
 def test_top_eigenvalue_1x1_and_substochastic():
@@ -57,9 +61,28 @@ def test_top_eigenvalue_1x1_and_substochastic():
     est = top_eigenvalue(pinned_operator(K5, pot, 0))
     assert est.value == pytest.approx(math.exp(0.7) * 0.5, rel=1e-12)
     assert est.residual < 1e-12
+    assert est.converged
     zero = make_family("single", j=0, amplitude=0.0)
     est = top_eigenvalue(pinned_operator(K5, zero, 64), tol=1e-10)
     assert est.value <= 1.0 + 1e-9
+
+
+def test_plateaued_power_iteration_is_not_converged():
+    # near the transition the Rayleigh value stops moving long before the
+    # iterate is an eigenvector: the flag must follow the residual
+    pot = make_family("single", j=0, amplitude=0.0575)
+    est = top_eigenvalue(pinned_operator(K1, pot, 128))
+    assert est.residual > 1e-10
+    assert not est.converged
+
+
+def test_power_iteration_value_is_rayleigh_lower_bound():
+    for eps in (0.01, 0.0575, 0.2):
+        op = pinned_operator(K1, make_family("single", j=0, amplitude=eps), 128)
+        exact = np.linalg.eigvalsh(op.dense())[-1]
+        est = top_eigenvalue(op)
+        assert est.value <= exact + 1e-12
+        assert abs(est.value - exact) <= est.residual + 1e-12
 
 
 def test_rayleigh_consistency():
