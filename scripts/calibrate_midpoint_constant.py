@@ -26,9 +26,10 @@ def works(C: float, sigma2s, js, mults) -> tuple[bool, tuple | None]:
         for j in js:
             L1 = math.ceil(C * (j + 1) ** 2 / s2)
             for m in mults:
-                p = midpoint_prob(kernel, max(2, L1 * m), j)
+                L = max(2, L1 * m)
+                p = midpoint_prob(kernel, L, j)[L]
                 if p > 0.75:
-                    return False, (s2, j, L1 * m, p)
+                    return False, (s2, j, L, p)
     return True, None
 
 

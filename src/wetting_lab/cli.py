@@ -124,9 +124,7 @@ def _cmd_certify_deloc(args) -> int:
     pot = parse_potential_spec(args.pot)
     b = args.b if args.b is not None else max(rho(pot, kernel.sigma2).upper, 1e-9)
     cert = delocalization_certificate(
-        kernel, pot, b=b, delta=args.delta, L_max=args.L_max,
-        exhaustive=args.exhaustive,
-    )
+        kernel, pot, b=b, delta=args.delta, L_max=args.L_max)
     with open(os.path.join(args.out_dir, "certificate.json"), "w") as fh:
         fh.write(cert.to_json())
         fh.write("\n")
@@ -350,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--L-max", type=int, default=4096)
     p.add_argument("--exhaustive", action="store_true",
-                   help="check every scale in each doubling window")
+                   help="no effect: every scale of each doubling window is "
+                        "always checked")
     p.set_defaults(func=_cmd_certify_deloc)
 
     p = sub.add_parser("certify-loc", help="spectral localization certificate")

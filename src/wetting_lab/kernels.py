@@ -88,6 +88,10 @@ def _finalize(
     offsets = tuple(sorted(sym))
     probs = tuple(sym[k] / total for k in offsets)
     sigma2_eff = float(sum(k * k * p for k, p in zip(offsets, probs)))
+    if not (math.isfinite(sigma2_eff) and sigma2_eff > 0.0):
+        raise ParameterError(
+            f"{family} kernel has effective sigma2 {sigma2_eff:.4g}; "
+            "it must be finite and > 0")
     return WalkKernel(
         offsets=offsets,
         probs=probs,
@@ -137,8 +141,9 @@ def make_sos(beta: float, tail_tol: float = 1e-12, c0: float = 1.0) -> WalkKerne
     renormalised, so the effective variance differs from the closed form by
     O(tail_tol).
     """
-    if beta <= 0 or not (tail_tol > 0):
-        raise ParameterError("beta and tail_tol must be positive")
+    if not (0 < beta < math.inf and tail_tol > 0):
+        raise ParameterError("beta must be positive and finite, and tail_tol "
+                             "positive")
     s2 = sos_sigma2(beta)
     if s2 > SIGMA2_MAX + 1e-12:
         raise ParameterError(

@@ -85,16 +85,19 @@ def _diag_for(window: _Window, pot: PinningPotential | None,
 
 
 def _sweep(kernel: WalkKernel, L: int, window: _Window,
-           diag: np.ndarray | None, defect_tol: float,
-           keep: tuple[int, ...] = ()):
-    """Run L steps; return (logZ profile for lengths 1..L, defect flag,
-    {t: scaled state vector after t steps} for each t in ``keep``)."""
+           diag: np.ndarray | None, defect_tol: float, on_step=None):
+    """Run L steps; return (logZ profile for lengths 1..L, defect flag).
+
+    ``on_step(t, v)``, if given, is called with the scaled state vector after
+    t steps for t = 0, 1, ... while the window holds; the sweep never writes
+    to a vector once it has been handed out."""
     parr = kernel.prob_array()
     mstep = kernel.max_step
     n = window.n
     v = np.zeros(n)
     v[window.start] = 1.0
-    kept = {0: v} if 0 in keep else {}
+    if on_step is not None:
+        on_step(0, v)
     scale = 0.0
     logz = np.full(L + 1, -math.inf)
     for t in range(1, L + 1):
@@ -102,7 +105,7 @@ def _sweep(kernel: WalkKernel, L: int, window: _Window,
         v = np.convolve(u, parr, mode="same")
         m = float(v.max())
         if m <= 0.0:
-            return logz, False, kept  # every path died inside the window
+            return logz, False  # every path died inside the window
         v /= m
         scale += math.log(m)
         edge = float(v[n - mstep:].sum())
@@ -111,12 +114,12 @@ def _sweep(kernel: WalkKernel, L: int, window: _Window,
         # v.max() == 1 now, so v.sum() >= 1: edge <= defect_tol cannot trip
         # the relative test, and the sum is only needed past that point
         if edge > defect_tol and edge / float(v.sum()) > defect_tol:
-            return logz, True, kept
-        if t in keep:
-            kept[t] = v
+            return logz, True
+        if on_step is not None:
+            on_step(t, v)
         ve = float(v[window.end])
         logz[t] = scale + math.log(ve) if ve > 0.0 else -math.inf
-    return logz, False, kept
+    return logz, False
 
 
 def partition_profile(
@@ -139,7 +142,7 @@ def partition_profile(
         if window.n > _STATE_CAP:
             break
         diag = _diag_for(window, pot, extra_eps)
-        logz, defect, _ = _sweep(kernel, L_max, window, diag, defect_tol)
+        logz, defect = _sweep(kernel, L_max, window, diag, defect_tol)
         last = logz
         if not defect:
             return logz
@@ -189,16 +192,23 @@ def zero_contact_moment(kernel: WalkKernel, L: int, b: float) -> float:
 
 
 def midpoint_prob(kernel: WalkKernel, L: int, j: int,
-                  *, defect_tol: float = DEFECT_TOL) -> float:
-    """P(both heights at times floor(L/2), floor(L/2)+1 stay >= -j) under the
-    unconstrained bridge measure."""
+                  *, defect_tol: float = DEFECT_TOL) -> np.ndarray:
+    """Midpoint profile: entry l is P(both heights at times floor(l/2),
+    floor(l/2)+1 stay >= -j) under the unconstrained bridge of length l, for
+    every 2 <= l <= L.  Entries 0 and 1 are unused (1.0).  Where
+    j >= l*max_step the wall is out of reach and the entry is exactly 1.0.
+
+    One sweep of L//2 steps on the window of length L serves every l: the
+    legs of length 2t are the state vectors after t and t-1 steps, those of
+    2t+1 the vector after t steps twice, so only the previous one is kept.
+    """
     if L < 2:
         raise ParameterError("needs L >= 2")
     if j < 0:
         raise ParameterError("j must be nonnegative")
+    prof = np.ones(L + 1)
     if j >= L * kernel.max_step:
-        return 1.0
-    mid = L // 2
+        return prof
     parr = kernel.prob_array()
     for grow in range(8):
         w = int(math.ceil(8.0 * math.sqrt(kernel.sigma2 * L)))
@@ -206,17 +216,24 @@ def midpoint_prob(kernel: WalkKernel, L: int, j: int,
         if 2 * w + 1 > _STATE_CAP:
             break
         window = _Window(base=-w, n=2 * w + 1, start=w, end=w, walled=False)
-        # one sweep serves both legs: the second is the first's prefix
-        _, defect, kept = _sweep(kernel, mid, window, None, defect_tol,
-                                 keep=(L - mid - 1, mid))
-        if defect:
-            continue
-        f, g = kept[mid], kept[L - mid - 1]
         mask = np.arange(window.n) + window.base >= -j
-        # num and den carry the same dropped log scales, which cancel here
-        den = float(f @ np.convolve(g, parr, mode="same"))
-        num = float((f * mask) @ (np.convolve(g * mask, parr, mode="same")))
-        return num / den
+        last = None  # the previous vector and its masked copy, each stepped
+
+        def on_step(t: int, v: np.ndarray) -> None:
+            nonlocal last
+            vm = v * mask
+            now = (np.convolve(v, parr, mode="same"),
+                   np.convolve(vm, parr, mode="same"))
+            if t:
+                # num and den carry the same dropped log scales, which cancel
+                for l, (cg, cgm) in ((2 * t, last), (2 * t + 1, now)):
+                    if l <= L:
+                        prof[l] = float(vm @ cgm) / float(v @ cg)
+            last = now
+
+        _, defect = _sweep(kernel, L // 2, window, None, defect_tol, on_step)
+        if not defect:
+            return prof
     raise TruncationError(f"midpoint window exhausted at L={L}, j={j}")
 
 

@@ -108,7 +108,7 @@ def test_criterion_03_midpoint_bound_grid():
         for j in (0, 1, 2, 4):
             L1 = math.ceil(SCALE_CONSTANT * (j + 1) ** 2 / s2)
             for mult in (1, 2, 4):
-                p = midpoint_prob(k, L1 * mult, j)
+                p = midpoint_prob(k, L1 * mult, j)[L1 * mult]
                 if p > worst:
                     worst, arg = p, (s2, j, L1 * mult)
     _report(3, "midpoint bound <= 3/4 on the calibrated grid", worst <= 0.75,

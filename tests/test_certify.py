@@ -24,7 +24,7 @@ from wetting_lab.certify import (
     scalar_step_bound,
     wetting_threshold,
 )
-from wetting_lab.transfer import log_partition
+from wetting_lab.transfer import log_partition, midpoint_prob
 
 K5 = make_binomial(0.5)
 K1 = make_binomial(0.1)
@@ -71,10 +71,14 @@ def test_doubling_step_passes_normally():
     assert res.passed
     assert res.worst_midpoint <= 0.75
     assert res.scalar_value <= 1.1
+    # every scale of the window (16, 32] is checked
+    assert list(res.samples) == list(range(17, 33))
+    assert res.worst_midpoint == pytest.approx(max(
+        midpoint_prob(K5, L, 0)[L] for L in res.samples), rel=1e-14)
 
 
 def test_doubling_step_fails_when_wall_unfelt():
-    # tiny scale constant puts every sampled L below the wall's reach
+    # tiny scale constant puts every L of the window below the wall's reach
     res = doubling_step_check(K5, 10, 0.1, 0.3, 1, C=0.02)
     assert res.worst_midpoint == 1.0
     assert not res.passed
@@ -115,6 +119,22 @@ def test_deloc_nonsummable_power_is_refused_cleanly():
     cert = delocalization_certificate(K5, pot, b=rho(pot, 0.5).value,
                                       L_max=512)
     assert cert.verdict == UNDETERMINED  # infinite weighted tail
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+def test_deloc_large_b_keeps_evidence_finite():
+    # b = 100 puts a reward of 50 on the base-case pinned bridge, whose
+    # ratio to the free one leaves the float range at L = 16
+    pot = make_family("single", j=0, amplitude=0.01)
+    for delta in (None, 0.1):
+        cert = delocalization_certificate(K5, pot, b=100.0, delta=delta,
+                                          L_max=64)
+        assert cert.verdict == UNDETERMINED
+        assert all(math.isfinite(e.measured) for e in cert.evidence)
+        json.loads(cert.to_json(), parse_constant=_refuse_constant)
 
 
 def test_deloc_log2_shortcircuit():

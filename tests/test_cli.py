@@ -30,6 +30,7 @@ def test_bad_kernel_spec_is_parameter_error(tmp_path):
     ("binomial:sigma2=0.5", "exp:delta=nan,amp=0.1"),
     ("table:{missing}", "single:j=0,eps=0.4"),
     ("binomial:sigma2=0.5", "list:{missing}"),
+    ("sos:beta=800", "single:j=0,eps=0.1"),
 ])
 def test_malformed_spec_is_parameter_error(tmp_path, capsys, kernel, pot):
     missing = str(tmp_path / "missing.txt")
@@ -39,6 +40,28 @@ def test_malformed_spec_is_parameter_error(tmp_path, capsys, kernel, pot):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("parameter error:") and "Traceback" not in err
+
+
+def _strict_json(path):
+    def refuse(name):
+        raise ValueError(f"non-finite JSON number {name}")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+def test_certify_deloc_infinite_tail(tmp_path, capsys):
+    # the default b of a non-summable potential is rho's upper bound, inf
+    args = ["certify-deloc", "--kernel", "binomial:sigma2=0.5",
+            "--pot", "power:delta=0.5,amp=0.05,sign=-",
+            "--out-dir", str(tmp_path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: b must be positive and finite")
+    assert main(args + ["--b", "0.3"]) == 0
+    cert = _strict_json(tmp_path / "certificate.json")
+    assert cert["verdict"] == "undetermined"
+    assert cert["evidence"] == []
+    assert "unbounded" in cert["notes"][0]
 
 
 def test_refusal_exit_code(tmp_path):
@@ -159,6 +182,6 @@ def test_certify_subcommands(tmp_path):
                "--pot", "single:j=0,eps=0.005", "--L-max", "512",
                "--out-dir", str(tmp_path)])
     assert rc == 0
-    cert = json.load(open(tmp_path / "certificate.json"))
+    cert = _strict_json(tmp_path / "certificate.json")
     assert cert["verdict"] == "delocalized_empirical"
     assert cert["valid_up_to"] == 512

@@ -57,6 +57,13 @@ def test_sos_rejects_small_beta():
         make_sos(1.0)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, 800.0])
+def test_sos_rejects_nonfinite_beta_and_zero_variance(beta):
+    # exp(-800) underflows, which would leave a stuck walk with sigma2 = 0
+    with pytest.raises(ParameterError):
+        make_sos(beta)
+
+
 def test_sos_sigma2_monotone_in_beta():
     assert sos_sigma2(4.0) < sos_sigma2(3.0) < sos_sigma2(2.0)
 

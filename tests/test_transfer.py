@@ -69,7 +69,7 @@ def test_zero_potential_step_matches_plain():
 
 def test_defect_flag_trips_on_tiny_window():
     window = _Window(base=0, n=3, start=0, end=0, walled=True)
-    _, defect, _ = _sweep(K5, 12, window, None, DEFECT_TOL)
+    _, defect = _sweep(K5, 12, window, None, DEFECT_TOL)
     assert defect
 
 
@@ -82,8 +82,8 @@ def test_full_matrix_symmetry():
         for j in range(n):
             window = _Window(base=0, n=n, start=i, end=j, walled=True)
             # the window is deliberately tight: weights, not the flag, matter
-            logz, _, _ = _sweep(K5, L, window, _diag_for(window, pot, None),
-                                math.inf)
+            logz, _ = _sweep(K5, L, window, _diag_for(window, pot, None),
+                             math.inf)
             W[i, j] = math.exp(logz[L])
     np.testing.assert_allclose(W, W.T, rtol=1e-12, atol=1e-300)
 
@@ -110,16 +110,33 @@ def _midpoint_by_enumeration(kernel, L, js):
 def test_midpoint_matches_enumeration():
     for s2 in (0.5, 0.1):
         k = make_binomial(s2)
+        profiles = {j: midpoint_prob(k, 9, j) for j in (0, 1)}
         for L in range(2, 10):
             want = _midpoint_by_enumeration(k, L, (0, 1))
             for j, p in want.items():
-                assert midpoint_prob(k, L, j) == pytest.approx(p, rel=1e-12)
+                assert midpoint_prob(k, L, j)[L] == pytest.approx(p, rel=1e-12)
+                assert profiles[j][L] == pytest.approx(p, rel=1e-12)
+
+
+def test_midpoint_profile_matches_per_scale():
+    for k in (make_binomial(0.5), make_binomial(0.1), make_sos(2.5)):
+        for j in (0, 3):
+            L = 97
+            prof = midpoint_prob(k, L, j)
+            assert prof.shape == (L + 1,)
+            for ell in range(2, L + 1):
+                if j >= ell * k.max_step:
+                    assert prof[ell] == 1.0
+                else:
+                    assert prof[ell] == pytest.approx(
+                        midpoint_prob(k, ell, j)[ell], rel=1e-14)
 
 
 def test_midpoint_examples():
-    assert midpoint_prob(K5, 2, 0) == pytest.approx(0.3125 / 0.375, rel=1e-13)
-    assert midpoint_prob(K5, 2, 5) == 1.0  # constraint vacuous
-    vals = [midpoint_prob(K5, 64, j) for j in (0, 1, 2, 4)]
+    assert midpoint_prob(K5, 2, 0)[2] == pytest.approx(0.3125 / 0.375,
+                                                       rel=1e-13)
+    assert midpoint_prob(K5, 2, 5)[2] == 1.0  # constraint vacuous
+    vals = [midpoint_prob(K5, 64, j)[64] for j in (0, 1, 2, 4)]
     assert vals == sorted(vals)  # nested events
     assert vals[0] <= 0.75
 
@@ -192,7 +209,7 @@ def test_sos_kernel_end_to_end():
     prof = partition_profile(k, 2048)
     val = math.sqrt(2 * math.pi * k.sigma2 * 2048) * math.exp(prof[2048])
     assert abs(val - 1.0) < 0.05
-    assert midpoint_prob(k, 640, 0) <= 0.75
+    assert midpoint_prob(k, 640, 0)[640] <= 0.75
 
 
 def test_free_energy_zero_potential():
