@@ -32,7 +32,7 @@ from .certificates import (
     LOCALIZED,
     UNDETERMINED,
 )
-from .errors import ParameterError
+from .errors import ParameterError, positive_finite
 from .kernels import WalkKernel, parse_kernel_spec
 from .potentials import PinningPotential, decouple, make_family, parse_potential_spec, rho
 from .spectral import localization_certificate
@@ -44,6 +44,7 @@ from .transfer import free_energy, midpoint_prob, partition_profile
 SCALE_CONSTANT = 8.0
 _SLACK = 1e-12
 _LOG_RATIO_CAP = 709.0  # just below log(largest float), so exp stays finite
+_RATIO_MAX = math.exp(_LOG_RATIO_CAP)
 
 
 def _ratio(log_ratio: float) -> float:
@@ -108,13 +109,22 @@ def base_case_check(
 
 
 def scalar_step_bound(delta: float, eps: float) -> float:
-    """The doubling-step scalar: must be <= 1+delta for the induction."""
-    return 0.75 * (1.0 + delta) ** 2 * math.exp(2.0 * eps)
+    """The doubling-step scalar: must be <= 1+delta for the induction.
+
+    A value beyond the float range is inf, which fails that test for every
+    finite delta, as the true value does."""
+    try:
+        return 0.75 * (1.0 + delta) ** 2 * math.exp(2.0 * eps)
+    except OverflowError:
+        return math.inf
 
 
 def max_feasible_delta(eps: float) -> float:
-    """Largest delta with scalar_step_bound(delta, eps) <= 1+delta."""
-    return 4.0 / (3.0 * math.exp(2.0 * eps)) - 1.0
+    """Largest delta with scalar_step_bound(delta, eps) <= 1+delta.
+
+    e^{2 eps} saturates below the float range, where the result is already
+    -1.0 (no feasible delta)."""
+    return 4.0 / (3.0 * _ratio(2.0 * eps)) - 1.0
 
 
 @dataclass(frozen=True)
@@ -181,8 +191,9 @@ def delocalization_certificate(
     delta window, or decoupling weights above 1 yield ``undetermined`` with
     the failing scale recorded.
     """
-    if not 0 < b < math.inf:
-        raise ParameterError("b must be positive and finite")
+    positive_finite(b, "b")
+    if delta is not None:
+        positive_finite(delta, "delta")
     sigma2 = kernel.sigma2
     params = {
         "kernel": kernel.spec_string(),
@@ -273,8 +284,8 @@ def delocalization_certificate(
             evidence.append(Evidence(
                 scale=min(L_max, int(math.ceil(L0 * 2 ** (n + 1)))),
                 check=f"doubling[j={j},n={n}]",
-                measured=max(step.scalar_value / (1.0 + delta),
-                             step.worst_midpoint / 0.75),
+                measured=min(max(step.scalar_value / (1.0 + delta),
+                                 step.worst_midpoint / 0.75), _RATIO_MAX),
                 threshold=1.0, passed=step.passed,
                 detail=(f"scalar={step.scalar_value:.6g} vs {1 + delta:.6g}; "
                         f"midpoint max={step.worst_midpoint:.6g} over "
@@ -363,6 +374,7 @@ def wetting_threshold(
     """
     if not (0 < amp_lo < amp_hi):
         raise ParameterError("need 0 < amp_lo < amp_hi")
+    positive_finite(tol, "tol")
     trail: list[tuple[float, str]] = []
 
     def classify(amp: float) -> tuple[str, str]:
@@ -424,6 +436,7 @@ def free_energy_crossing(
     """Amplitude bracket around the point where the free energy leaves 0."""
     if not (0 < amp_lo < amp_hi):
         raise ParameterError("need 0 < amp_lo < amp_hi")
+    positive_finite(tol, "tol")
 
     def positive(amp: float) -> bool:
         return free_energy(kernel, make_pot(amp), tol=fe_tol).value > floor

@@ -23,6 +23,13 @@ class TruncationError(RuntimeError):
         self.partial = partial
 
 
+def positive_finite(value: float, what: str) -> None:
+    """Refuse a ``value`` that is not finite and > 0 (nan included) with a
+    ParameterError naming ``what``."""
+    if not 0 < value < math.inf:
+        raise ParameterError(f"{what} must be positive and finite, got {value!r}")
+
+
 def spec_fields(family: str, body: str, required: tuple[str, ...],
                 optional: tuple[str, ...] = ()) -> dict[str, str]:
     """Split a spec body ``key=value,...`` into raw strings.
@@ -55,9 +62,12 @@ def spec_number(text: str, what: str, kind=float):
     ParameterError naming ``what``."""
     try:
         x = kind(text)
+        finite = math.isfinite(x)
     except ValueError:
         raise ParameterError(
             f"{what}={text!r} is not a valid {kind.__name__}") from None
-    if not math.isfinite(x):
+    except OverflowError:  # an int beyond the float range
+        raise ParameterError(f"{what}={text!r} is out of range") from None
+    if not finite:
         raise ParameterError(f"{what}={text!r} is not finite")
     return x

@@ -124,7 +124,7 @@ def make_binomial(sigma2: float, c0: float = 1.0) -> WalkKernel:
 def sos_sigma2(beta: float) -> float:
     """Closed-form variance of the geometric walk p(k) ~ exp(-beta |k|)."""
     x = math.exp(-beta)
-    return 2.0 * x / (1.0 - x) ** 2
+    return 2.0 * x / (1.0 - x) ** 2 if x < 1.0 else math.inf
 
 
 def sos_normalizer(beta: float) -> float:

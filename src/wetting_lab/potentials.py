@@ -102,8 +102,9 @@ def make_family(
     if amplitude < 0:
         raise ParameterError("amplitude must be nonnegative")
     if family == "single":
-        if j is None or j < 0:
-            raise ParameterError("single-level potential needs a level j >= 0")
+        if j is None or not 0 <= j <= j_cap:
+            raise ParameterError(
+                f"single-level potential needs a level 0 <= j <= {j_cap}")
         eps = tuple(0.0 if i < j else amplitude for i in range(j + 1))
         return _build(eps, 0.0, f"single:j={j},eps={amplitude:g}")
     if family == "list":
@@ -116,11 +117,12 @@ def make_family(
         if amplitude == 0.0:
             return _build((0.0,), 0.0, f"exp:delta={delta:g},amp=0")
         x = math.exp(-delta)
+        # the tail bound falls as jm grows, so this settles every jm <= j_cap
+        if x == 1.0 or _exp_tail(amplitude, delta, j_cap) > weighted_tail_tol:
+            raise ParameterError("exp family cannot meet tail tolerance below j_cap")
         jm = 0
         while _exp_tail(amplitude, delta, jm) > weighted_tail_tol:
             jm += 1
-            if jm > j_cap:
-                raise ParameterError("exp family cannot meet tail tolerance below j_cap")
         eps = tuple(amplitude * x ** i for i in range(jm + 1))
         return _build(eps, _exp_tail(amplitude, delta, jm),
                       f"exp:delta={delta:g},amp={amplitude:g}")
@@ -133,7 +135,11 @@ def make_family(
         if sign == "-":
             # weighted tail diverges; retain a fixed window and say so
             jm = min(j_cap, 255)
-            eps = tuple(amplitude * (i + 1) ** expo for i in range(jm + 1))
+            try:
+                eps = tuple(amplitude * (i + 1) ** expo for i in range(jm + 1))
+            except OverflowError:
+                raise ParameterError(
+                    f"power rewards overflow at delta={delta:g}") from None
             return _build(eps, math.inf,
                           f"power:delta={delta:g},amp={amplitude:g},sign=-")
         jm = 0

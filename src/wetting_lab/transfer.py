@@ -17,6 +17,11 @@ Window truncation is monitored, not assumed: if the top rows (and, for free
 bridges, the bottom rows) ever carry a relative mass above ``defect_tol``,
 the window is doubled and the sweep rerun; exhausting the doubling budget
 raises TruncationError with the partial result attached.
+
+In the localized phase the scaled state vector settles on the top
+eigenvector within a few thousand steps.  Once one step returns its input bit
+for bit, the sweep stops there and fills the rest of the profile with the
+same additions the remaining steps would make, so the result is unchanged.
 """
 
 from __future__ import annotations
@@ -26,12 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, TruncationError
+from .errors import ParameterError, TruncationError, positive_finite
 from .kernels import WalkKernel
 from .potentials import PinningPotential, make_family
 
 DEFECT_TOL = 1e-12
 _STATE_CAP = 1 << 17
+_EPS_MAX = math.log(np.finfo(float).max)  # largest reward with finite e^eps
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +87,13 @@ def _diag_for(window: _Window, pot: PinningPotential | None,
             if 0 <= s < window.n:
                 eps[s] += e
                 have = True
-    return np.exp(eps) if have else None
+    if not have:
+        return None
+    if eps.max() > _EPS_MAX:
+        raise ParameterError(
+            f"pinning reward {eps.max():.6g} is beyond the float range of the "
+            f"transfer weights (at most {_EPS_MAX:.6g})")
+    return np.exp(eps)
 
 
 def _sweep(kernel: WalkKernel, L: int, window: _Window,
@@ -90,7 +102,13 @@ def _sweep(kernel: WalkKernel, L: int, window: _Window,
 
     ``on_step(t, v)``, if given, is called with the scaled state vector after
     t steps for t = 0, 1, ... while the window holds; the sweep never writes
-    to a vector once it has been handed out."""
+    to a vector once it has been handed out.
+
+    Without ``on_step`` the sweep ends at an exact fixed point.  From step 2
+    on every step is the same map (times ``diag``, convolve, divide by the
+    max), so once a step returns its input bit for bit every later step
+    returns it again with the same max; the rest of the profile is then
+    filled in one pass with the additions those steps would make."""
     parr = kernel.prob_array()
     mstep = kernel.max_step
     n = window.n
@@ -99,8 +117,10 @@ def _sweep(kernel: WalkKernel, L: int, window: _Window,
     if on_step is not None:
         on_step(0, v)
     scale = 0.0
+    m_prev = math.nan  # step 1 applies a different map: never a match
     logz = np.full(L + 1, -math.inf)
     for t in range(1, L + 1):
+        prev = v
         u = v if (diag is None or t == 1) else v * diag
         v = np.convolve(u, parr, mode="same")
         m = float(v.max())
@@ -119,6 +139,16 @@ def _sweep(kernel: WalkKernel, L: int, window: _Window,
             on_step(t, v)
         ve = float(v[window.end])
         logz[t] = scale + math.log(ve) if ve > 0.0 else -math.inf
+        if m == m_prev and on_step is None and np.array_equal(v, prev):
+            if ve > 0.0:
+                # add.accumulate adds left to right, as `scale += log(m)`
+                tail = logz[t:]
+                tail[0] = scale
+                tail[1:] = math.log(m)
+                np.add.accumulate(tail, out=tail)
+                tail += math.log(ve)
+            return logz, False
+        m_prev = m
     return logz, False
 
 
@@ -276,6 +306,9 @@ def free_energy(
     Disagreement beyond 10*tol flags the result but still returns it.
     """
     from .spectral import _eigen_windows  # deferred: cycle
+
+    positive_finite(tol, "tol")
+    positive_finite(eig_tol, "eig_tol")
 
     def rate(eig) -> float:
         return max(0.0, math.log(eig.value))

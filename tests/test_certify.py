@@ -19,6 +19,7 @@ from wetting_lab.certify import (
     base_scale,
     delocalization_certificate,
     doubling_step_check,
+    free_energy_crossing,
     max_feasible_delta,
     phase_scan,
     scalar_step_bound,
@@ -64,6 +65,10 @@ def test_scalar_step_examples():
     # the feasible window solves the fixed point exactly
     d = max_feasible_delta(0.02)
     assert scalar_step_bound(d, 0.02) == pytest.approx(1.0 + d, rel=1e-12)
+    # past the float range: no feasible delta, and a scalar no delta meets
+    assert max_feasible_delta(1000.0) == -1.0
+    assert scalar_step_bound(1e200, 0.01) == math.inf
+    assert scalar_step_bound(0.1, 1000.0) == math.inf
 
 
 def test_doubling_step_passes_normally():
@@ -185,6 +190,17 @@ def test_wetting_threshold_rejects_bad_endpoints():
         wetting_threshold(K5, mk, 0.9, 1.0, tol=0.2, L_max=256)
     with pytest.raises(ParameterError):
         wetting_threshold(K5, mk, 0.1, 0.15, tol=0.2, L_max=256)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -0.1, math.inf])
+def test_bracketing_rejects_bad_tolerance(tol):
+    def mk(amp):
+        return make_family("single", j=0, amplitude=amp)
+
+    with pytest.raises(ParameterError, match="tol"):
+        wetting_threshold(K5, mk, 0.1, 1.0, tol=tol, L_max=256)
+    with pytest.raises(ParameterError, match="tol"):
+        free_energy_crossing(K5, mk, 0.1, 1.0, tol=tol)
 
 
 def test_phase_scan_rows_and_consistency():

@@ -64,6 +64,34 @@ def test_certify_deloc_infinite_tail(tmp_path, capsys):
     assert "unbounded" in cert["notes"][0]
 
 
+@pytest.mark.parametrize("extra", [
+    ["--b", "1000"], ["--b", "1000", "--delta", "0.1"], ["--delta", "1e200"],
+])
+def test_certify_deloc_huge_inputs_give_a_finite_verdict(tmp_path, extra):
+    rc = main(["certify-deloc", "--kernel", "binomial:sigma2=0.5",
+               "--pot", "single:j=0,eps=0.01", "--L-max", "64", *extra,
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert _strict_json(tmp_path / "certificate.json")["verdict"] == \
+        "undetermined"
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify-deloc", "--kernel", "binomial:sigma2=0.5",
+     "--pot", "single:j=0,eps=0.01", "--b", "2000"],
+    ["certify-deloc", "--kernel", "binomial:sigma2=0.5",
+     "--pot", "single:j=0,eps=0.01", "--delta", "nan"],
+    ["free-energy", "--kernel", "binomial:sigma2=0.5",
+     "--pot", "single:j=0,eps=0.8", "--tol", "nan"],
+    ["threshold", "--kernel", "binomial:sigma2=0.1", "--family", "single:j=0",
+     "--amp-lo", "0.01", "--amp-hi", "0.2", "--tol", "nan"],
+])
+def test_out_of_range_numbers_are_parameter_errors(tmp_path, capsys, argv):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error:") and "Traceback" not in err
+
+
 def test_refusal_exit_code(tmp_path):
     rc = main(["saw-verify", "--L-list", "2", "--beta-list", "1.0",
                "--cap", "4", "--out-dir", str(tmp_path)])

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from wetting_lab.kernels import make_binomial, make_sos
-from wetting_lab.potentials import make_family
+from wetting_lab.errors import ParameterError
+from wetting_lab.kernels import make_binomial, make_sos, parse_kernel_spec
+from wetting_lab.potentials import make_family, parse_potential_spec
 from wetting_lab.rw_oracle import oracle_partition
 from wetting_lab.transfer import (
     DEFECT_TOL,
     _diag_for,
+    _make_window,
     _sweep,
     _Window,
     free_energy,
@@ -86,6 +88,39 @@ def test_full_matrix_symmetry():
                              math.inf)
             W[i, j] = math.exp(logz[L])
     np.testing.assert_allclose(W, W.T, rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("kspec, pspec, localized", [
+    ("binomial:sigma2=0.5", "single:j=0,eps=0.8", True),
+    ("sos:beta=2.5", "single:j=0,eps=0.5", True),
+    ("binomial:sigma2=0.1", "power:delta=3,amp=0.3", True),
+    ("binomial:sigma2=0.5", "single:j=0,eps=0.05", False),
+])
+def test_fixed_point_exit_matches_every_step(kspec, pspec, localized):
+    kernel = parse_kernel_spec(kspec)
+    pot = parse_potential_spec(pspec)
+    L = 8192
+    window = _make_window(kernel, L, 0, pot, 0)
+    repeats = []
+    last = [None]
+
+    def on_step(t, v):  # a callback makes the sweep run every step
+        if t >= 2 and np.array_equal(v, last[0]):
+            repeats.append(t)
+        last[0] = v
+
+    ref, defect = _sweep(kernel, L, window, _diag_for(window, pot, None),
+                         DEFECT_TOL, on_step)
+    assert not defect
+    assert np.array_equal(partition_profile(kernel, L, wall=0, pot=pot), ref)
+    # localized sweeps hit the fixed point long before L, delocalized never
+    assert (bool(repeats) and repeats[0] < L // 2) == localized
+
+
+def test_reward_beyond_float_range_is_parameter_error():
+    with pytest.raises(ParameterError, match="float range"):
+        partition_profile(K5, 16, wall=0,
+                          pot=make_family("single", j=0, amplitude=1000.0))
 
 
 def _midpoint_by_enumeration(kernel, L, js):
@@ -218,6 +253,16 @@ def test_free_energy_zero_potential():
     assert fe.value == 0.0
     assert fe.cross_raw <= 0.0
     assert not fe.flagged
+
+
+@pytest.mark.parametrize("kw", [
+    {"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-4}, {"tol": math.inf},
+    {"eig_tol": math.nan}, {"eig_tol": 0.0},
+])
+def test_free_energy_rejects_bad_tolerance(kw):
+    with pytest.raises(ParameterError, match="tol"):
+        free_energy(K5, make_family("single", j=0, amplitude=0.8),
+                    L_cross=64, **kw)
 
 
 def test_free_energy_monotone_and_log2_note():
