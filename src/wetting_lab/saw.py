@@ -5,18 +5,27 @@ the x coordinate is doubled so every vertex is an integer pair (u, y) with u
 odd.  A path is a vertex-distinct chain of unit edges; its Boltzmann weight
 is exp(-beta * length).
 
-Everything here is enumerated by depth-first search up to a length budget
-(minimal length + excess cap).  The discarded mass is bounded rigorously by
-the crude path count: at most 4 * 3^(m-1) paths of length m leave any fixed
-vertex, so the tail of the weight series is geometric once beta > log 3.
-Ensembles therefore refuse to exist below BETA_MIN = log 3 + margin, and
-every partition value is returned as (partial sum, certified interval).
+Everything here is enumerated by one depth-first search (``_Search``) up to
+a length budget (minimal length + excess cap).  It runs on a flat grid, cell
+(col, y) at index (col - c0) * H + (y - y0), so the steps E, N, W, S are the
+offsets +H, +1, -H, -1.  Per-cell lists built once per call hold the
+distance still to go (closed for padding, blocked and occupied cells), the
+arrival factor and a mark; per step the search keeps the weight, the marked
+count and each line's horizontal crossings, so statistics are read off at
+each arrival without rebuilding the path.
+
+The discarded mass is bounded rigorously by the crude path count: at most
+4 * 3^(m-1) paths of length m leave any fixed vertex, so the tail of the
+weight series is geometric once beta > log 3.  Ensembles therefore refuse
+to exist below BETA_MIN = log 3 + margin, and every partition value is
+returned as (partial sum, certified interval).
 
 Conventions: the span-L ensemble joins (1/2, 0) to (L - 1/2, 0); interior
 contacts with height j are vertices (i + 1/2, j) for i in [1, L-2]; external
 contacts are height-0 vertices in columns i outside [0, L-1]; horizontal
 contacts are horizontal edges at the given height.  Step order is fixed to
-E, N, W, S so enumeration streams are reproducible byte for byte.
+E, N, W, S, so enumeration streams and summation order are reproducible
+byte for byte.
 """
 
 from __future__ import annotations
@@ -33,9 +42,6 @@ from .potentials import PinningPotential
 
 BETA_MARGIN = 0.5
 BETA_MIN = math.log(3.0) + BETA_MARGIN
-
-# doubled-x steps, lexicographic E, N, W, S
-_STEPS = ((2, 0), (0, 1), (-2, 0), (0, -1))
 
 
 @dataclass(frozen=True)
@@ -76,8 +82,90 @@ def _to_doubled(p: tuple[float, int]) -> tuple[int, int]:
     return u, int(p[1])
 
 
-def _manhattan(a: tuple[int, int], b: tuple[int, int]) -> int:
-    return abs(a[0] - b[0]) // 2 + abs(a[1] - b[1])
+class _Search:
+    """Self-avoiding paths from ``start`` with at most ``max_len`` edges.
+
+    They arrive at ``goal`` or, with ``free_end``, at any vertex of goal's
+    column (and may go on).  Iterating yields (weight, marked vertices) at
+    each arrival; the weight multiplies step_w * factor(u, y) per vertex
+    entered.  While the consumer holds an arrival, ``path`` lists the cells
+    and ``cross[x - c0]`` counts the horizontal edges crossing the line x.
+    ``gate`` is the distance still to go (Manhattan, or horizontal only with
+    a free end) or ``closed``: one comparison with the budget admits a step.
+    """
+
+    def __init__(self, start: tuple[int, int], goal: tuple[int, int],
+                 max_len: int, *, free_end: bool = False, step_w: float = 1.0,
+                 factor=None, blocked=None, marked=None):
+        (su, sy), (gu, gy) = start, goal
+        sc, gc = (su - 1) // 2, (gu - 1) // 2
+
+        def dist(c, y):
+            return abs(c - gc) + (0 if free_end else abs(y - gy))
+
+        usable = [(c, y) for c in range(sc - max_len, sc + max_len + 1)
+                  for y in range(sy - max_len, sy + max_len + 1)
+                  if abs(c - sc) + abs(y - sy) + dist(c, y) <= max_len]
+        self.c0 = c0 = min(c for c, _ in usable) - 1
+        y0 = min(y for _, y in usable) - 1
+        W = max(c for c, _ in usable) - c0 + 2
+        self.H = H = max(y for _, y in usable) - y0 + 2
+        self.y0, self.closed = y0, max_len + 1
+        self.gate = [self.closed] * (W * H)
+        self.factor = [1.0] * (W * H)
+        self.mark = [0] * (W * H)
+        # each cell's steps E, N, W, S, paired with the index in ``cross``
+        # of the line they cross (W, a spare slot, for N and S)
+        self.steps = [()] * (W * H)
+        self.cross = [0] * (W + 1)
+        for c, y in usable:
+            i, u, j = (c - c0) * H + (y - y0), 2 * c + 1, c - c0
+            if blocked is None or not blocked(u, y):
+                self.gate[i] = dist(c, y)
+            if factor is not None:
+                self.factor[i] = factor(u, y)
+            if marked is not None:
+                self.mark[i] = int(marked(u, y))
+            self.steps[i] = ((i + H, j + 1), (i + 1, W),
+                             (i - H, j), (i - 1, W))
+        self.path = [(sc - c0) * H + (sy - y0)]
+        self.max_len, self.step_w, self.stop = max_len, step_w, not free_end
+
+    def __iter__(self):
+        gate, steps, factor, mark = (self.gate, self.steps, self.factor,
+                                     self.mark)
+        cross, path, closed = self.cross, self.path, self.closed
+        step_w, stop = self.step_w, self.stop
+        gate[path[0]] = closed
+        w, m, rem, it = 1.0, 0, self.max_len, iter(steps[path[0]])
+        stack = []
+        while True:
+            for n, k in it:
+                d = gate[n]
+                if d >= rem:
+                    continue
+                nw = w * step_w * factor[n]
+                nm = m + mark[n]
+                cross[k] += 1
+                path.append(n)
+                if not d:
+                    yield nw, nm
+                    if stop:
+                        path.pop()
+                        cross[k] -= 1
+                        continue
+                stack.append((w, m, it, k, d))
+                gate[n] = closed
+                w, m, it = nw, nm, iter(steps[n])
+                rem -= 1
+                break
+            else:
+                if not stack:
+                    return
+                w, m, it, k, d = stack.pop()
+                gate[path.pop()] = d
+                cross[k] -= 1
+                rem += 1
 
 
 def enumerate_saw(x: tuple[float, int], y: tuple[float, int],
@@ -89,27 +177,12 @@ def enumerate_saw(x: tuple[float, int], y: tuple[float, int],
     start, goal = _to_doubled(x), _to_doubled(y)
     if start == goal:
         raise ParameterError("endpoints must differ")
-    max_len = _manhattan(start, goal) + excess_cap
-    trail = [start]
-    seen = {start}
-
-    def rec():
-        cur = trail[-1]
-        if cur == goal:
-            yield LatticePath(vertices=tuple(trail))
-            return
-        rem = max_len - (len(trail) - 1)
-        for du, dy in _STEPS:
-            nxt = (cur[0] + du, cur[1] + dy)
-            if nxt in seen or _manhattan(nxt, goal) > rem - 1:
-                continue
-            seen.add(nxt)
-            trail.append(nxt)
-            yield from rec()
-            trail.pop()
-            seen.remove(nxt)
-
-    yield from rec()
+    minimal = abs(start[0] - goal[0]) // 2 + abs(start[1] - goal[1])
+    search = _Search(start, goal, minimal + excess_cap)
+    H, c0, y0 = search.H, search.c0, search.y0
+    for _ in search:
+        yield LatticePath(vertices=tuple((2 * (i // H + c0) + 1, i % H + y0)
+                                         for i in search.path))
 
 
 # ---------------------------------------------------------------------------
@@ -161,61 +234,23 @@ class TruncatedEnsemble:
         return (self.lower, self.upper)
 
 
-def _sum_paths(L: int, beta: float, excess_cap: int, *, min_y=None,
-               avoid_level=None, pot: PinningPotential | None = None,
-               eps_ext: float = 0.0, visitor=None) -> float:
-    """DFS accumulation of path weights for the span-L ensemble.
-
-    With a visitor, each complete path triggers visitor(vertices, weight)
-    where weight already includes all reward factors.  Returns the total.
-    """
-    start, goal = (1, 0), (2 * L - 1, 0)
-    max_len = (L - 1) + excess_cap
-    step_w = math.exp(-beta)
-    eps = pot.eps if pot is not None else ()
-    j_top = len(eps) - 1
-    ext_w = math.exp(eps_ext) if eps_ext else 1.0
-    u_lo, u_hi = 3, 2 * L - 3  # interior contact columns (doubled)
+def _sum_paths(L: int, beta: float, excess_cap: int, **search) -> float:
+    """Total weight of the span-L paths, (1/2, 0) to column L - 1/2; the
+    keywords go to ``_Search``."""
     total = 0.0
-    trail = [start] if visitor is not None else None
-    seen = {start}
-
-    def arrival_factor(u: int, y: int) -> float:
-        f = 1.0
-        if 0 <= y <= j_top and u_lo <= u <= u_hi:
-            f *= math.exp(eps[y])
-        if eps_ext and y == 0 and (u < 1 or u > 2 * L - 1):
-            f *= ext_w
-        return f
-
-    def rec(cur, used, w):
-        nonlocal total
-        if cur == goal:
-            total += w
-            if visitor is not None:
-                visitor(tuple(trail), w)
-            return
-        rem = max_len - used
-        cu, cy = cur
-        for du, dy in _STEPS:
-            nxt = (cu + du, cy + dy)
-            nu, ny = nxt
-            if min_y is not None and ny < min_y:
-                continue
-            if avoid_level is not None and ny == avoid_level and nxt != goal:
-                continue
-            if nxt in seen or _manhattan(nxt, goal) > rem - 1:
-                continue
-            seen.add(nxt)
-            if trail is not None:
-                trail.append(nxt)
-            rec(nxt, used + 1, w * step_w * arrival_factor(nu, ny))
-            if trail is not None:
-                trail.pop()
-            seen.remove(nxt)
-
-    rec(start, 0, 1.0)
+    for w, _ in _Search((1, 0), (2 * L - 1, 0), (L - 1) + excess_cap,
+                        step_w=math.exp(-beta), **search):
+        total += w
     return total
+
+
+def _check_span(L: int, beta: float) -> None:
+    if L < 2:
+        raise ParameterError("span L must be at least 2")
+    if beta < BETA_MIN:
+        raise RefusalError(
+            f"beta={beta} below BETA_MIN={BETA_MIN:.4f}: refusing, "
+            "no truncation certificate is possible")
 
 
 def saw_partition(
@@ -234,29 +269,32 @@ def saw_partition(
     vertex at ``avoid_level``).  Rewards from ``pot`` weight interior
     contacts; ``eps_ext`` weights external height-0 contacts.
     """
-    if L < 2:
-        raise ParameterError("span L must be at least 2")
-    if beta < BETA_MIN:
-        raise RefusalError(
-            f"beta={beta} below BETA_MIN={BETA_MIN:.4f}: refusing, "
-            "no truncation certificate is possible"
-        )
-    if constraint not in ("none", "wall", "avoid"):
+    _check_span(L, beta)
+    blocked = {
+        "none": None,
+        "wall": lambda u, y: y < 0,
+        # the goal stays allowed
+        "avoid": lambda u, y: y == avoid_level and (u, y) != (2 * L - 1, 0),
+    }
+    if constraint not in blocked:
         raise ParameterError(f"unknown constraint {constraint!r}")
     if constraint == "avoid" and avoid_level is None:
         raise ParameterError("'avoid' constraint needs avoid_level")
-    eps_max = max(
-        max(pot.eps) if pot is not None and pot.eps else 0.0,
-        eps_ext,
-        0.0,
-    )
+    eps = pot.eps if pot is not None else ()
+    eps_max = max(max(eps, default=0.0), eps_ext, 0.0)
     tail = saw_tail_bound((L - 1) + excess_cap + 1, beta, eps_max)
-    part = _sum_paths(
-        L, beta, excess_cap,
-        min_y=0 if constraint == "wall" else None,
-        avoid_level=avoid_level if constraint == "avoid" else None,
-        pot=pot, eps_ext=eps_ext,
-    )
+    ext_w = math.exp(eps_ext) if eps_ext else 1.0
+
+    def arrival_factor(u: int, y: int) -> float:
+        f = 1.0
+        if 0 <= y < len(eps) and 3 <= u <= 2 * L - 3:  # interior contact
+            f *= math.exp(eps[y])
+        if eps_ext and y == 0 and (u < 1 or u > 2 * L - 1):
+            f *= ext_w
+        return f
+
+    part = _sum_paths(L, beta, excess_cap, factor=arrival_factor,
+                      blocked=blocked[constraint])
     return TruncatedEnsemble(L=L, beta=beta, excess_cap=excess_cap,
                              partial_sum=part, tail_cert=tail)
 
@@ -264,32 +302,8 @@ def saw_partition(
 def grand_canonical(L: int, beta: float, excess_cap: int) -> TruncatedEnsemble:
     """Partition sum over paths from (1/2, 0) ending anywhere in column
     L - 1/2 (free endpoint height)."""
-    if L < 2:
-        raise ParameterError("span L must be at least 2")
-    if beta < BETA_MIN:
-        raise RefusalError(f"beta={beta} below BETA_MIN={BETA_MIN:.4f}")
-    start = (1, 0)
-    goal_u = 2 * L - 1
-    max_len = (L - 1) + excess_cap
-    step_w = math.exp(-beta)
-    total = 0.0
-    seen = {start}
-
-    def rec(cur, used, w):
-        nonlocal total
-        cu, cy = cur
-        if cu == goal_u:
-            total += w
-        rem = max_len - used
-        for du, dy in _STEPS:
-            nxt = (cu + du, cy + dy)
-            if nxt in seen or abs(goal_u - nxt[0]) // 2 > rem - 1:
-                continue
-            seen.add(nxt)
-            rec(nxt, used + 1, w * step_w)
-            seen.remove(nxt)
-
-    rec(start, 0, 1.0)
+    _check_span(L, beta)
+    total = _sum_paths(L, beta, excess_cap, free_end=True)
     tail = saw_tail_bound((L - 1) + excess_cap + 1, beta)
     return TruncatedEnsemble(L=L, beta=beta, excess_cap=excess_cap,
                              partial_sum=total, tail_cert=tail)
@@ -334,12 +348,10 @@ def is_regular(path: LatticePath, u: int, L: int) -> bool:
 
 
 def _ratio_interval(num: float, den: float, tail_num: float,
-                    tail_den: float, cap: float | None = None):
-    lo = num / (den + tail_den)
-    hi = (num + tail_num) / den
-    if cap is not None:
-        hi = min(hi, cap)
-    return lo, hi
+                    tail_den: float, cap: float = math.inf):
+    """(lower, point, upper) for num / den, each widened by its tail."""
+    return (num / (den + tail_den), num / den,
+            min((num + tail_num) / den, cap))
 
 
 @dataclass(frozen=True)
@@ -366,40 +378,37 @@ def regularity_stats(L: int, beta: float, excess_cap: int,
                      u_list: tuple[int, ...] | None = None) -> RegularityStats:
     """Non-regularity probabilities, first-edge orientation, and the external
     contact moment E[e^{a N_ext}] in the unconstrained span-L ensemble."""
+    if L < 2:
+        raise ParameterError("span L must be at least 2")
     if u_list is None:
         u_list = (0, L // 2, L)
+    if any(not 0 <= u <= L for u in u_list):
+        raise ParameterError("u must lie in [0, L]")
     sums = {u: 0.0 for u in u_list}
-    fv = 0.0
-    ext = 0.0
-
-    def visit(vertices, w):
-        nonlocal fv, ext
-        p = LatticePath(vertices=vertices)
-        for u in u_list:
-            if not is_regular(p, u, L):
+    total = fv = ext = 0.0
+    search = _Search((1, 0), (2 * L - 1, 0), (L - 1) + excess_cap,
+                     step_w=math.exp(-beta),  # marks: external contacts
+                     marked=lambda u, y: y == 0 and not 1 <= u <= 2 * L - 1)
+    cross, path = search.cross, search.path
+    # is_regular: crossed once for interior u, never for u in {0, L}
+    lines = [(u, u - search.c0, 0 if u in (0, L) else 1) for u in u_list]
+    for w, n_ext in search:
+        total += w
+        for u, k, once in lines:
+            if cross[k] != once:
                 sums[u] += w
-        if vertices[0][0] == vertices[1][0]:
+        if abs(path[1] - path[0]) == 1:  # same column: first edge vertical
             fv += w
-        n_ext = sum(1 for (uu, yy) in vertices
-                    if yy == 0 and (uu < 1 or uu > 2 * L - 1))
         ext += w * math.exp(a_ext * n_ext)
-
-    total = _sum_paths(L, beta, excess_cap, visitor=visit)
     tail0 = saw_tail_bound((L - 1) + excess_cap + 1, beta)
     tail_a = saw_tail_bound((L - 1) + excess_cap + 1, beta, eps_max=a_ext)
-    nr = {
-        u: (_ratio_interval(sums[u], total, tail0, tail0, cap=1.0)[0],
-            sums[u] / total,
-            _ratio_interval(sums[u], total, tail0, tail0, cap=1.0)[1])
-        for u in u_list
-    }
-    fvi = _ratio_interval(fv, total, tail0, tail0, cap=1.0)
-    exti = _ratio_interval(ext, total, tail_a, tail0)
     return RegularityStats(
         L=L, beta=beta, excess_cap=excess_cap, partial_sum=total,
-        tail_cert=tail0, not_regular=nr,
-        first_edge_vertical=(fvi[0], fv / total, fvi[1]),
-        ext_moment=(exti[0], ext / total, exti[1]),
+        tail_cert=tail0,
+        not_regular={u: _ratio_interval(sums[u], total, tail0, tail0, cap=1.0)
+                     for u in u_list},
+        first_edge_vertical=_ratio_interval(fv, total, tail0, tail0, cap=1.0),
+        ext_moment=_ratio_interval(ext, total, tail_a, tail0),
         a_ext=a_ext,
     )
 
@@ -492,24 +501,14 @@ def minimal_horizontal_identity(L: int, beta: float,
     """
     from .transfer import log_partition
 
-    if L < 2:
-        raise ParameterError("span L must be at least 2")
-    if beta < BETA_MIN:
-        raise RefusalError(f"beta={beta} below BETA_MIN={BETA_MIN:.4f}")
+    _check_span(L, beta)
     scale = math.exp(-beta * (L - 1))
-    if cap is None:
-        cap = 4
-        while cap < 64:
-            counts = _run_profile_counts(L, cap)
-            part = sum(c * math.exp(-beta * v) for v, c in counts.items())
-            tail = _runs_tail_bound(L, cap, beta)
-            if tail / (scale * part) <= rel_target:
-                break
-            cap += 2
-    else:
+    for cap in range(4, 64, 2) if cap is None else (cap,):
         counts = _run_profile_counts(L, cap)
         part = sum(c * math.exp(-beta * v) for v, c in counts.items())
         tail = _runs_tail_bound(L, cap, beta)
+        if tail / (scale * part) <= rel_target:
+            break
     lhs = TruncatedEnsemble(L=L, beta=beta, excess_cap=cap,
                             partial_sum=scale * part, tail_cert=tail)
     kernel = make_sos(beta, tail_tol=1e-15)

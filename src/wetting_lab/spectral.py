@@ -21,6 +21,11 @@ from .errors import ParameterError
 from .kernels import WalkKernel
 from .potentials import PinningPotential
 
+# ||A|| <= e^{max eps} since P is substochastic, so for a unit x the squared
+# norm ||Ax||^2 <= e^{2 max eps} stays finite; one unit of slack for rounding
+_EPS_MAX = 0.5 * math.log(np.finfo(float).max) - 1.0
+_LOG_QUOT_CAP = 709.0  # just below log(largest float), so exp stays finite
+
 
 def _apply_stencil(vec: np.ndarray, stencil: np.ndarray, m: int) -> np.ndarray:
     """(P vec)[i] = sum_k p(k) vec[i+k] with Dirichlet outside the window;
@@ -67,6 +72,10 @@ def pinned_operator(kernel: WalkKernel, pot: PinningPotential | None,
         raise ParameterError("h_max must be nonnegative")
     n = h_max + 1
     eps = pot.eps_array(n) if pot is not None else np.zeros(n)
+    if eps.max() > _EPS_MAX:
+        raise ParameterError(
+            f"pinning reward {eps.max():.6g} is beyond the float range of the "
+            f"pinned operator (at most {_EPS_MAX:.6g})")
     return PinnedOperator(dim=n, exp_half=np.exp(0.5 * eps),
                           stencil=kernel.prob_array(), max_step=kernel.max_step)
 
@@ -220,10 +229,12 @@ def localization_certificate(
 
     if pot.exceeds_log2:
         j_star = pot.log2_excess[0]
-        quot = kernel.prob(0) * math.exp(pot.eps[j_star])
+        # in logs: e^eps alone overflows for rewards beyond ~709
+        log_quot = math.log(kernel.prob(0)) + pot.eps[j_star]
+        quot = math.exp(min(log_quot, _LOG_QUOT_CAP))
         evidence.append(Evidence(
             scale=j_star, check="stuck_at_level_quotient", measured=quot,
-            threshold=1.0, passed=quot > 1.0,
+            threshold=1.0, passed=log_quot > 0.0,
             detail=f"indicator vector at level {j_star}",
         ))
         return Certificate(
@@ -234,7 +245,7 @@ def localization_certificate(
                 "route": "indicator",
                 "level": j_star,
                 "quotient": quot,
-                "rate": math.log(quot),
+                "rate": log_quot,
             },
             notes=("reward above log 2 localizes on its own",),
         )

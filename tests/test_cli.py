@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -74,6 +75,30 @@ def test_certify_deloc_huge_inputs_give_a_finite_verdict(tmp_path, extra):
     assert rc == 0
     assert _strict_json(tmp_path / "certificate.json")["verdict"] == \
         "undetermined"
+
+
+def test_certify_loc_huge_reward_is_localized(tmp_path):
+    rc = main(["certify-loc", "--kernel", "binomial:sigma2=0.5",
+               "--pot", "single:j=0,eps=800", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    cert = _strict_json(tmp_path / "certificate.json")
+    assert cert["verdict"] == "localized"
+    # the quotient p(0) e^eps is taken in logs and saturates at e^709
+    spec = cert["spectral"]
+    assert spec["route"] == "indicator"
+    assert spec["rate"] == pytest.approx(math.log(0.5) + 800.0)
+    assert spec["quotient"] == cert["evidence"][0]["measured"] == \
+        math.exp(709.0)
+
+
+@pytest.mark.parametrize("eps", ["400", "800"])
+def test_free_energy_huge_reward_is_parameter_error(tmp_path, capsys, eps):
+    rc = main(["free-energy", "--kernel", "binomial:sigma2=0.5",
+               "--pot", f"single:j=0,eps={eps}", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: pinning reward") and \
+        "float range of the pinned operator" in err
 
 
 @pytest.mark.parametrize("argv", [

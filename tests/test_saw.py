@@ -18,6 +18,7 @@ from wetting_lab.saw import (
     permutation_sum,
     regularity_stats,
     saw_partition,
+    saw_tail_bound,
     _sum_paths,
 )
 
@@ -33,10 +34,16 @@ def test_enumerate_minimal_and_cap2():
 
 
 def test_enumeration_order_is_stable():
-    lines = [p.to_line() for p in enumerate_saw((0.5, 0), (2.5, 0), 2)]
-    assert lines[0] == "1,0;3,0;5,0"  # straight path first (E before N/S)
-    assert lines == sorted(lines, key=lines.index)  # deterministic order
-    assert len(lines) == len(set(lines))
+    # depth-first, steps tried in E, N, W, S order: straight path first
+    assert [p.to_line() for p in enumerate_saw((0.5, 0), (2.5, 0), 2)] == [
+        "1,0;3,0;5,0",
+        "1,0;3,0;3,1;5,1;5,0",
+        "1,0;3,0;3,-1;5,-1;5,0",
+        "1,0;1,1;3,1;5,1;5,0",
+        "1,0;1,1;3,1;3,0;5,0",
+        "1,0;1,-1;3,-1;5,-1;5,0",
+        "1,0;1,-1;3,-1;3,0;5,0",
+    ]
 
 
 def test_path_validation_catches_defects():
@@ -122,6 +129,10 @@ def test_regularity():
     assert is_regular(p, 4, 5)
     with pytest.raises(ParameterError):
         is_regular(p, 9, 5)
+    with pytest.raises(ParameterError):
+        regularity_stats(5, 3.0, 2, u_list=(6,))
+    with pytest.raises(ParameterError):
+        regularity_stats(1, 3.0, 2)
 
 
 def test_regularity_stats_trends_with_beta():
@@ -137,6 +148,40 @@ def test_regularity_stats_trends_with_beta():
     # a = 0 gives exactly 1
     flat = regularity_stats(4, 3.0, 4, a_ext=0.0)
     assert flat.ext_moment[1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("a_ext", [0.0, 0.1])
+@pytest.mark.parametrize("L,beta,cap",
+                         [(2, 2.6, 6), (3, 2.8, 4), (4, 3.0, 6), (5, 3.2, 5)])
+def test_regularity_stats_matches_enumeration(L, beta, cap, a_ext):
+    us = tuple(range(L + 1))
+    total = fv = ext = 0.0
+    nr = dict.fromkeys(us, 0.0)
+    for p in enumerate_saw((0.5, 0), (L - 0.5, 0), cap):
+        w = math.exp(-beta * p.length)
+        total += w
+        for u in us:
+            if not is_regular(p, u, L):
+                nr[u] += w
+        if p.vertices[0][0] == p.vertices[1][0]:
+            fv += w
+        ext += w * math.exp(a_ext * contacts(p, 0, L)[2])
+    st_ = regularity_stats(L, beta, cap, a_ext=a_ext, u_list=us)
+    t0 = st_.tail_cert
+    ta = saw_tail_bound(L + cap, beta, eps_max=a_ext)
+
+    def close(got, want):
+        assert all(math.isclose(g, w, rel_tol=1e-12)
+                   for g, w in zip(got, want, strict=True)), (got, want)
+
+    close((st_.partial_sum,), (total,))
+    for u in us:
+        close(st_.not_regular[u], (nr[u] / (total + t0), nr[u] / total,
+                                   min((nr[u] + t0) / total, 1.0)))
+    close(st_.first_edge_vertical, (fv / (total + t0), fv / total,
+                                    min((fv + t0) / total, 1.0)))
+    close(st_.ext_moment, (ext / (total + t0), ext / total,
+                           (ext + ta) / total))
 
 
 def test_minimal_horizontal_identity_small():
@@ -179,6 +224,17 @@ def test_avoid_level_constraint():
         if all(y != 1 for _, y in p.vertices):
             want += math.exp(-3.0 * p.length)
     assert avoided.partial_sum == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("L,beta,cap", [(2, 3.0, 4), (3, 2.7, 5), (4, 3.1, 4)])
+def test_grand_canonical_matches_enumeration(L, beta, cap):
+    # a free-end path is a bridge to some (L - 1/2, y) with |y| <= cap
+    want = 0.0
+    for y in range(-cap, cap + 1):
+        for p in enumerate_saw((0.5, 0), (L - 0.5, y), cap - abs(y)):
+            want += math.exp(-beta * p.length)
+    got = grand_canonical(L, beta, cap).partial_sum
+    assert math.isclose(got, want, rel_tol=1e-12)
 
 
 def test_grand_canonical_interval():

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from wetting_lab.certificates import LOCALIZED, UNDETERMINED
+from wetting_lab.errors import ParameterError
 from wetting_lab.kernels import make_binomial, make_sos
 from wetting_lab.potentials import make_family
 from wetting_lab.spectral import (
+    _EPS_MAX,
     localization_certificate,
     pinned_operator,
     sine_profile_bound,
@@ -109,6 +111,21 @@ def test_localization_certificate_verdicts():
     cert = localization_certificate(K1, pot)
     assert cert.verdict == LOCALIZED
     assert cert.spectral["route"] == "sine"
+
+
+def test_pinned_operator_refuses_rewards_beyond_float_range():
+    with pytest.raises(ParameterError, match="float range"):
+        pinned_operator(K5, make_family("single", j=0, amplitude=400.0), 8)
+    # at the largest accepted reward ||Ax||^2 of a unit vector stays finite
+    top = make_family("single", j=0, amplitude=_EPS_MAX)
+    for kernel in (K5, make_sos(2.5)):
+        op = pinned_operator(kernel, top, 8)
+        x = np.zeros(op.dim)
+        x[0] = 1.0
+        ax = op.matvec(x)
+        assert math.isfinite(ax @ ax)
+        eig = top_eigenvalue(op)
+        assert math.isfinite(eig.value) and eig.value > 1.0
 
 
 def test_certificate_scales_upward():
