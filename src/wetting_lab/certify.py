@@ -45,6 +45,8 @@ SCALE_CONSTANT = 8.0
 _SLACK = 1e-12
 _LOG_RATIO_CAP = 709.0  # just below log(largest float), so exp stays finite
 _RATIO_MAX = math.exp(_LOG_RATIO_CAP)
+_MAX_BISECT = 60        # bisection steps of the threshold brackets
+_FE_FLOOR = 1e-8        # free energy above this counts as positive
 
 
 def _ratio(log_ratio: float) -> float:
@@ -82,14 +84,13 @@ def base_case_check(
     b: float,
     delta: float,
     *,
-    C: float = SCALE_CONSTANT,
     L_cap: int | None = None,
 ) -> BaseCaseResult:
     """Ratio Z_pinned/Z_free <= 1+delta for every L up to L_1 (or the cap)."""
     if b < 0 or delta <= 0:
         raise ParameterError("need b >= 0 and delta > 0")
     eps = b * kernel.sigma2 / (j + 1)
-    L1 = base_scale(j, kernel.sigma2, C)
+    L1 = base_scale(j, kernel.sigma2)
     top = L1 if L_cap is None else min(L1, L_cap)
     pin = partition_profile(kernel, top, wall=j,
                             pot=make_family("single", j=0, amplitude=eps))
@@ -130,7 +131,6 @@ def max_feasible_delta(eps: float) -> float:
 @dataclass(frozen=True)
 class DoublingStepResult:
     passed: bool
-    n: int
     scalar_value: float
     samples: range    # every scale in the window
     worst_midpoint: float
@@ -164,14 +164,9 @@ def doubling_step_check(
         worst = float(_midpoint_cached(kernel, L_hi, j)[samples[0]:].max())
         ok &= worst <= 0.75 + _SLACK
     return DoublingStepResult(
-        passed=ok, n=n, scalar_value=scalar, samples=samples,
+        passed=ok, scalar_value=scalar, samples=samples,
         worst_midpoint=worst,
     )
-
-
-def _select_delta(delta_lo: float, delta_hi: float) -> float:
-    # midpoint of the feasible window: deterministic and strictly inside
-    return 0.5 * (delta_lo + delta_hi)
 
 
 def delocalization_certificate(
@@ -180,8 +175,6 @@ def delocalization_certificate(
     b: float,
     delta: float | None = None,
     L_max: int = 4096,
-    *,
-    C: float = SCALE_CONSTANT,
 ) -> Certificate:
     """Run the full pipeline: split by level, certify each level's doubling
     chain up to L_max, then check the recombined ratio directly.
@@ -200,7 +193,7 @@ def delocalization_certificate(
         "pot": pot.spec_string(),
         "sigma2": sigma2,
         "b": b,
-        "C": C,
+        "C": SCALE_CONSTANT,
         "L_max": L_max,
     }
     evidence: list[Evidence] = []
@@ -242,7 +235,7 @@ def delocalization_certificate(
     if delta is None:
         # pre-pass with a permissive delta just to measure the base ratios
         for j in levels:
-            base[j] = base_case_check(kernel, j, b, delta=1.0, C=C, L_cap=L_max)
+            base[j] = base_case_check(kernel, j, b, delta=1.0, L_cap=L_max)
             delta_lo = max(delta_lo, base[j].max_ratio - 1.0)
         if not levels:
             delta = 0.1
@@ -254,12 +247,13 @@ def delocalization_certificate(
                        f"scalar step allows < {delta_hi:.4g}",),
             )
         else:
-            delta = _select_delta(max(0.0, delta_lo), delta_hi)
+            # midpoint of the feasible window: deterministic, strictly inside
+            delta = 0.5 * (max(0.0, delta_lo) + delta_hi)
     params["delta"] = delta
 
     all_pass = True
     for j in levels:
-        res = base.get(j) or base_case_check(kernel, j, b, delta=delta, C=C,
+        res = base.get(j) or base_case_check(kernel, j, b, delta=delta,
                                              L_cap=L_max)
         ok = res.max_ratio <= 1.0 + delta + _SLACK
         all_pass &= ok
@@ -273,11 +267,10 @@ def delocalization_certificate(
         ))
         if not ok:
             continue
-        L0 = 0.5 * C * (j + 1) ** 2 / sigma2
+        L0 = 0.5 * SCALE_CONSTANT * (j + 1) ** 2 / sigma2
         n = 1
         while L0 * 2 ** n < L_max:
-            step = doubling_step_check(kernel, j, b, delta, n, C=C,
-                                       L_cap=L_max)
+            step = doubling_step_check(kernel, j, b, delta, n, L_cap=L_max)
             all_pass &= step.passed
             scales = step.samples
             span = f"L={scales[0]}..{scales[-1]}" if scales else "no scale"
@@ -361,8 +354,6 @@ def wetting_threshold(
     tol: float = 0.05,
     *,
     L_max: int = 4096,
-    C: float = SCALE_CONSTANT,
-    max_iter: int = 60,
 ) -> ThresholdBracket:
     """Bisect an amplitude family between a certified-empirical delocalized
     endpoint and a spectrally localized endpoint.
@@ -384,7 +375,7 @@ def wetting_threshold(
             return "localized", loc.spectral["route"]
         pot = make_pot(amp)
         b = rho(pot, kernel.sigma2).upper
-        dl = delocalization_certificate(kernel, pot, b=b, L_max=L_max, C=C)
+        dl = delocalization_certificate(kernel, pot, b=b, L_max=L_max)
         trail.append((amp, dl.verdict))
         return dl.verdict, ""
 
@@ -398,7 +389,7 @@ def wetting_threshold(
 
     lo, hi = amp_lo, amp_hi
     stalled = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECT):
         if hi - lo <= tol * lo:
             break
         mid = 0.5 * (lo + hi)
@@ -428,10 +419,6 @@ def free_energy_crossing(
     amp_lo: float,
     amp_hi: float,
     tol: float = 0.05,
-    *,
-    floor: float = 1e-8,
-    fe_tol: float = 1e-4,
-    max_iter: int = 60,
 ) -> tuple[float, float]:
     """Amplitude bracket around the point where the free energy leaves 0."""
     if not (0 < amp_lo < amp_hi):
@@ -439,12 +426,12 @@ def free_energy_crossing(
     positive_finite(tol, "tol")
 
     def positive(amp: float) -> bool:
-        return free_energy(kernel, make_pot(amp), tol=fe_tol).value > floor
+        return free_energy(kernel, make_pot(amp)).value > _FE_FLOOR
 
     if positive(amp_lo) or not positive(amp_hi):
         raise ParameterError("crossing endpoints do not separate")
     lo, hi = amp_lo, amp_hi
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECT):
         if hi - lo <= tol * lo:
             break
         mid = 0.5 * (lo + hi)

@@ -2,8 +2,8 @@
 
 Every subcommand writes its outputs plus ``run.json``, an echo of the fully
 resolved configuration; re-running from the same configuration reproduces
-the outputs byte for byte (pass --deterministic to zero the timing column,
-the one intentionally volatile field).
+the outputs byte for byte.  The one intentionally volatile field is the
+timing column of ``phase-scan``, which its --deterministic flag zeroes.
 
 Exit codes: 0 success, 1 parameter error, 2 computational refusal (oracle or
 enumeration caps, exhausted truncation), 3 flagged-inconsistent results.
@@ -27,7 +27,7 @@ from .certify import (
     phase_scan,
     wetting_threshold,
 )
-from .errors import ParameterError, RefusalError, TruncationError
+from .errors import ParameterError, RefusalError, TruncationError, spec_number
 from .kernels import parse_kernel_spec
 from .potentials import parse_potential_spec, rho
 from .rw_oracle import clt_band, max_enumerable_L, oracle_partition
@@ -74,12 +74,9 @@ def _write_csv(path: str, columns, rows) -> None:
                         for i, c in enumerate(columns)])
 
 
-def _floats(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t]
-
-
-def _ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t]
+def _numbers(text: str, what: str, kind=float) -> list:
+    """Comma-separated finite numbers; anything else is a ParameterError."""
+    return [spec_number(t, what, kind) for t in text.split(",") if t]
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +85,7 @@ def _ints(text: str) -> list[int]:
 
 
 def _cmd_free_energy(args) -> int:
-    kernel = parse_kernel_spec(args.kernel, c0=args.c0)
+    kernel = parse_kernel_spec(args.kernel)
     pot = parse_potential_spec(args.pot)
     fe = free_energy(kernel, pot, tol=args.tol, L_cross=args.L_cross)
     result = {
@@ -105,7 +102,7 @@ def _cmd_free_energy(args) -> int:
 
 
 def _cmd_phase_scan(args) -> int:
-    amps = _floats(args.amps)
+    amps = _numbers(args.amps, "--amps")
     points = [
         ScanPoint(kernel_spec=k, family_spec=f, amplitude=a)
         for k in args.kernel for f in args.family for a in amps
@@ -120,7 +117,7 @@ def _cmd_phase_scan(args) -> int:
 
 
 def _cmd_certify_deloc(args) -> int:
-    kernel = parse_kernel_spec(args.kernel, c0=args.c0)
+    kernel = parse_kernel_spec(args.kernel)
     pot = parse_potential_spec(args.pot)
     b = args.b if args.b is not None else max(rho(pot, kernel.sigma2).upper, 1e-9)
     cert = delocalization_certificate(
@@ -132,7 +129,7 @@ def _cmd_certify_deloc(args) -> int:
 
 
 def _cmd_certify_loc(args) -> int:
-    kernel = parse_kernel_spec(args.kernel, c0=args.c0)
+    kernel = parse_kernel_spec(args.kernel)
     pot = parse_potential_spec(args.pot)
     cert = localization_certificate(kernel, pot)
     with open(os.path.join(args.out_dir, "certificate.json"), "w") as fh:
@@ -142,7 +139,7 @@ def _cmd_certify_loc(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    kernel = parse_kernel_spec(args.kernel, c0=args.c0)
+    kernel = parse_kernel_spec(args.kernel)
 
     def make_pot(amp: float):
         return parse_potential_spec(args.family, amplitude=amp)
@@ -170,7 +167,7 @@ def _cmd_threshold(args) -> int:
 def _cmd_verify_clt(args) -> int:
     if args.L_max < max(1, args.L_min):
         raise ParameterError("--L-max must be at least 1 and at least --L-min")
-    kernel = parse_kernel_spec(args.kernel, c0=args.c0)
+    kernel = parse_kernel_spec(args.kernel)
     grid = []
     L = max(1, args.L_min)
     while L <= args.L_max:
@@ -184,14 +181,13 @@ def _cmd_verify_clt(args) -> int:
 
 
 def _cmd_saw_enumerate(args) -> int:
-    x = tuple(_floats(args.x))
-    y = tuple(_floats(args.y))
+    x = tuple(_numbers(args.x, "--x"))
+    y = tuple(_numbers(args.y, "--y"))
     if len(x) != 2 or len(y) != 2:
         raise ParameterError("endpoints are 'x,y' pairs like '0.5,0'")
     n = 0
     with open(os.path.join(args.out_dir, "paths.txt"), "w") as fh:
-        for path in enumerate_saw((x[0], int(x[1])), (y[0], int(y[1])),
-                                  args.cap):
+        for path in enumerate_saw(x, y, args.cap):
             fh.write(path.to_line())
             fh.write("\n")
             n += 1
@@ -200,8 +196,8 @@ def _cmd_saw_enumerate(args) -> int:
 
 
 def _cmd_saw_verify(args) -> int:
-    Ls = _ints(args.L_list)
-    betas = _floats(args.beta_list)
+    Ls = _numbers(args.L_list, "--L-list", int)
+    betas = _numbers(args.beta_list, "--beta-list")
     report: dict = {"identity": [], "permutation_bound": [], "regularity": []}
     for L in Ls:
         for beta in betas:
@@ -250,7 +246,7 @@ def _cmd_saw_verify(args) -> int:
 def _cmd_oracle_check(args) -> int:
     rows = []
     worst = 0.0
-    for s2 in _floats(args.sigma2_list):
+    for s2 in _numbers(args.sigma2_list, "--sigma2-list"):
         kernel = parse_kernel_spec(f"binomial:sigma2={s2}")
         L_top = min(args.L_max, max_enumerable_L(kernel))
         variants = [("free", None, None), ("wall0", 0, None),
@@ -317,11 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--c0", type=float, default=1.0,
-                       help="kernel class constant (reported, default 1)")
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--deterministic", action="store_true",
-                       help="zero volatile fields (timings) in outputs")
 
     p = sub.add_parser("free-energy", help="growth-rate estimate")
     common(p)
@@ -337,6 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", action="append", required=True)
     p.add_argument("--amps", required=True, help="comma-separated amplitudes")
     p.add_argument("--L-max", type=int, default=1024)
+    p.add_argument("--deterministic", action="store_true",
+                   help="zero the wall_time_s column")
     p.set_defaults(func=_cmd_phase_scan)
 
     p = sub.add_parser("certify-deloc", help="scale-doubling certificate")

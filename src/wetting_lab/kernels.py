@@ -14,7 +14,7 @@ finite stencil with the discarded mass recorded before renormalisation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +35,7 @@ class WalkKernel:
 
     offsets: tuple[int, ...]
     probs: tuple[float, ...]
-    log_probs: tuple[float, ...]
     sigma2: float
-    c0: float
     max_step: int
     truncation_defect: float
     sigma2_analytic: float | None = None
@@ -71,7 +69,6 @@ class WalkKernel:
 def _finalize(
     pairs: dict[int, float],
     *,
-    c0: float,
     defect: float,
     sigma2_analytic: float | None,
     family: str,
@@ -95,9 +92,7 @@ def _finalize(
     return WalkKernel(
         offsets=offsets,
         probs=probs,
-        log_probs=tuple(math.log(p) if p > 0 else -math.inf for p in probs),
         sigma2=sigma2_eff,
-        c0=c0,
         max_step=max(abs(k) for k in offsets),
         truncation_defect=defect,
         sigma2_analytic=sigma2_analytic,
@@ -106,14 +101,13 @@ def _finalize(
     )
 
 
-def make_binomial(sigma2: float, c0: float = 1.0) -> WalkKernel:
+def make_binomial(sigma2: float) -> WalkKernel:
     """Nearest-neighbour lazy walk: p(+-1) = sigma2/2, p(0) = 1 - sigma2."""
     if not (0.0 < sigma2 <= SIGMA2_MAX):
         raise ParameterError(f"binomial kernel needs sigma2 in (0, 1/2], got {sigma2}")
     pairs = {0: 1.0 - sigma2, 1: sigma2 / 2.0, -1: sigma2 / 2.0}
     return _finalize(
         pairs,
-        c0=c0,
         defect=0.0,
         sigma2_analytic=sigma2,
         family="binomial",
@@ -133,7 +127,7 @@ def sos_normalizer(beta: float) -> float:
     return (1.0 + x) / (1.0 - x)
 
 
-def make_sos(beta: float, tail_tol: float = 1e-12, c0: float = 1.0) -> WalkKernel:
+def make_sos(beta: float, tail_tol: float = 1e-12) -> WalkKernel:
     """Geometric (solid-on-solid) walk at inverse temperature beta.
 
     The infinite tail is cut at the smallest max_step whose discarded mass is
@@ -158,7 +152,6 @@ def make_sos(beta: float, tail_tol: float = 1e-12, c0: float = 1.0) -> WalkKerne
     pairs = {k: x ** abs(k) / z for k in range(-kmax, kmax + 1)}
     return _finalize(
         pairs,
-        c0=c0,
         defect=defect,
         sigma2_analytic=s2,
         family="sos",
@@ -166,7 +159,7 @@ def make_sos(beta: float, tail_tol: float = 1e-12, c0: float = 1.0) -> WalkKerne
     )
 
 
-def kernel_from_table(path: str, c0: float = 1.0) -> WalkKernel:
+def kernel_from_table(path: str) -> WalkKernel:
     """Load ``k p(k)`` rows for k >= 0; symmetry is implied."""
     pairs: dict[int, float] = {}
     try:
@@ -191,7 +184,7 @@ def kernel_from_table(path: str, c0: float = 1.0) -> WalkKernel:
     if not pairs or pairs.get(0, 0.0) <= 0:
         raise ParameterError("table kernel needs positive mass at 0")
     kern = _finalize(
-        pairs, c0=c0, defect=0.0, sigma2_analytic=None, family="table", params=()
+        pairs, defect=0.0, sigma2_analytic=None, family="table", params=()
     )
     if not (0.0 < kern.sigma2 <= SIGMA2_MAX + 1e-12):
         raise ParameterError(f"table kernel variance {kern.sigma2:.4g} outside (0, 1/2]")
@@ -225,9 +218,8 @@ class MembershipReport:
         )
 
 
-def validate_kernel(kernel: WalkKernel, c0: float | None = None) -> MembershipReport:
+def validate_kernel(kernel: WalkKernel, c0: float = 1.0) -> MembershipReport:
     """Check class membership for the given c0 without mutating the kernel."""
-    c = kernel.c0 if c0 is None else c0
     s2 = kernel.sigma2
     p1 = kernel.prob(1)
     m3 = sum(abs(k) ** 3 * p for k, p in zip(kernel.offsets, kernel.probs))
@@ -238,11 +230,11 @@ def validate_kernel(kernel: WalkKernel, c0: float | None = None) -> MembershipRe
     )
     return MembershipReport(
         p1=p1,
-        p1_floor=0.5 * c * s2,
-        p1_ok=p1 >= 0.5 * c * s2 - _EQ_SLACK,
+        p1_floor=0.5 * c0 * s2,
+        p1_ok=p1 >= 0.5 * c0 * s2 - _EQ_SLACK,
         third_moment=m3,
-        third_moment_cap=s2 / c,
-        third_moment_ok=m3 <= s2 / c + _EQ_SLACK,
+        third_moment_cap=s2 / c0,
+        third_moment_ok=m3 <= s2 / c0 + _EQ_SLACK,
         p0=p0,
         p0_floor=1.0 - s2,
         p0_ok=p0 >= 1.0 - s2 - _EQ_SLACK,
@@ -251,18 +243,18 @@ def validate_kernel(kernel: WalkKernel, c0: float | None = None) -> MembershipRe
     )
 
 
-def parse_kernel_spec(spec: str, c0: float = 1.0) -> WalkKernel:
+def parse_kernel_spec(spec: str) -> WalkKernel:
     """Parse ``binomial:sigma2=<x>``, ``sos:beta=<x>[,tail_tol=<y>]``, ``table:<path>``."""
     if ":" not in spec:
         raise ParameterError(f"malformed kernel spec {spec!r}")
     head, rest = spec.split(":", 1)
     if head == "table":
-        return kernel_from_table(rest, c0=c0)
+        return kernel_from_table(rest)
     if head == "binomial":
         kv = spec_fields(head, rest, ("sigma2",))
-        return make_binomial(spec_number(kv["sigma2"], "sigma2"), c0=c0)
+        return make_binomial(spec_number(kv["sigma2"], "sigma2"))
     if head == "sos":
         kv = spec_fields(head, rest, ("beta",), ("tail_tol",))
         tail_tol = spec_number(kv.get("tail_tol", "1e-12"), "tail_tol")
-        return make_sos(spec_number(kv["beta"], "beta"), tail_tol=tail_tol, c0=c0)
+        return make_sos(spec_number(kv["beta"], "beta"), tail_tol=tail_tol)
     raise ParameterError(f"unknown kernel family {head!r}")

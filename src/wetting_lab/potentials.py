@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ParameterError, spec_fields, spec_number
 
 LOG2 = math.log(2.0)
+_J_CAP = 2_000_000  # highest level a family may reach
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,6 @@ class PinningPotential:
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(j for j, e in enumerate(self.eps) if e > 0.0)
-
-    def eps_at(self, j: int) -> float:
-        return self.eps[j] if 0 <= j <= self.j_max else 0.0
 
     def eps_array(self, n: int) -> np.ndarray:
         """First n values as an array (missing levels are 0)."""
@@ -89,7 +87,6 @@ def make_family(
     values: list[float] | tuple[float, ...] | None = None,
     weighted_tail_tol: float = 1e-6,
     sign: str = "+",
-    j_cap: int = 2_000_000,
 ) -> PinningPotential:
     """Build a potential from one of the supported families.
 
@@ -102,9 +99,9 @@ def make_family(
     if amplitude < 0:
         raise ParameterError("amplitude must be nonnegative")
     if family == "single":
-        if j is None or not 0 <= j <= j_cap:
+        if j is None or not 0 <= j <= _J_CAP:
             raise ParameterError(
-                f"single-level potential needs a level 0 <= j <= {j_cap}")
+                f"single-level potential needs a level 0 <= j <= {_J_CAP}")
         eps = tuple(0.0 if i < j else amplitude for i in range(j + 1))
         return _build(eps, 0.0, f"single:j={j},eps={amplitude:g}")
     if family == "list":
@@ -117,9 +114,10 @@ def make_family(
         if amplitude == 0.0:
             return _build((0.0,), 0.0, f"exp:delta={delta:g},amp=0")
         x = math.exp(-delta)
-        # the tail bound falls as jm grows, so this settles every jm <= j_cap
-        if x == 1.0 or _exp_tail(amplitude, delta, j_cap) > weighted_tail_tol:
-            raise ParameterError("exp family cannot meet tail tolerance below j_cap")
+        # the tail bound falls as jm grows, so this settles every jm <= _J_CAP
+        if x == 1.0 or _exp_tail(amplitude, delta, _J_CAP) > weighted_tail_tol:
+            raise ParameterError("exp family cannot meet tail tolerance below "
+                                 "the level cap")
         jm = 0
         while _exp_tail(amplitude, delta, jm) > weighted_tail_tol:
             jm += 1
@@ -134,7 +132,7 @@ def make_family(
             return _build((0.0,), 0.0, f"power:delta={delta:g},amp=0,sign={sign}")
         if sign == "-":
             # weighted tail diverges; retain a fixed window and say so
-            jm = min(j_cap, 255)
+            jm = 255
             try:
                 eps = tuple(amplitude * (i + 1) ** expo for i in range(jm + 1))
             except OverflowError:
@@ -145,9 +143,9 @@ def make_family(
         jm = 0
         while _power_tail(amplitude, delta, jm) > weighted_tail_tol:
             jm = max(jm + 1, int(jm * 1.3))
-            if jm > j_cap:
+            if jm > _J_CAP:
                 raise ParameterError(
-                    "power family cannot meet tail tolerance below j_cap; "
+                    "power family cannot meet tail tolerance below the level cap; "
                     "loosen weighted_tail_tol"
                 )
         eps = tuple(amplitude * (i + 1) ** expo for i in range(jm + 1))

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import ParameterError, RefusalError
 from .kernels import WalkKernel
-from .potentials import PinningPotential
+from .potentials import PinningPotential, make_family
+from .transfer import partition_profile
 
 _ROW_CAP = 80_000_000
 _BASE_CAP_STEPS = 14  # for a 3-point stencil
@@ -202,8 +203,6 @@ def oracle_contact_distribution(
     if mode == "auto":
         mode = "fraction" if (is_dyadic(kernel) and L <= 12) else "float"
     if mode == "fraction":
-        from .potentials import make_family
-
         marker = make_family("single", j=j, amplitude=1.0)
         acc, support = _enumerate_fraction(kernel, L, wall, marker)
         total = sum(acc.values(), Fraction(0))
@@ -225,8 +224,6 @@ def oracle_contact_distribution(
 def clt_band(kernel: WalkKernel, L_list: list[int]) -> list[tuple[int, float]]:
     """(L, sqrt(sigma2 L) * Z_L) rows: small L by enumeration, the rest from
     one transfer sweep (the two agree on the overlap to 1e-12)."""
-    from .transfer import partition_profile
-
     out = []
     cap = max_enumerable_L(kernel)
     big = [L for L in L_list if L > cap]

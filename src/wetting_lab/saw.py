@@ -39,6 +39,7 @@ import numpy as np
 from .errors import ParameterError, RefusalError
 from .kernels import make_sos, sos_normalizer
 from .potentials import PinningPotential
+from .transfer import log_partition
 
 BETA_MARGIN = 0.5
 BETA_MIN = math.log(3.0) + BETA_MARGIN
@@ -76,10 +77,12 @@ class LatticePath:
 
 
 def _to_doubled(p: tuple[float, int]) -> tuple[int, int]:
-    u = int(round(2 * p[0]))
-    if u % 2 == 0:
+    u = float(2 * p[0])
+    if not (u.is_integer() and int(u) % 2):
         raise ParameterError(f"x coordinate {p[0]} is not a half-integer")
-    return u, int(p[1])
+    if not float(p[1]).is_integer():
+        raise ParameterError(f"y coordinate {p[1]} is not an integer")
+    return int(u), int(p[1])
 
 
 class _Search:
@@ -244,9 +247,13 @@ def _sum_paths(L: int, beta: float, excess_cap: int, **search) -> float:
     return total
 
 
-def _check_span(L: int, beta: float) -> None:
+def _check_span(L: int, beta: float, excess_cap: int) -> None:
     if L < 2:
         raise ParameterError("span L must be at least 2")
+    if not math.isfinite(beta):
+        raise ParameterError(f"beta must be finite, got {beta!r}")
+    if excess_cap < 0:
+        raise ParameterError("excess_cap must be nonnegative")
     if beta < BETA_MIN:
         raise RefusalError(
             f"beta={beta} below BETA_MIN={BETA_MIN:.4f}: refusing, "
@@ -269,7 +276,7 @@ def saw_partition(
     vertex at ``avoid_level``).  Rewards from ``pot`` weight interior
     contacts; ``eps_ext`` weights external height-0 contacts.
     """
-    _check_span(L, beta)
+    _check_span(L, beta, excess_cap)
     blocked = {
         "none": None,
         "wall": lambda u, y: y < 0,
@@ -302,7 +309,7 @@ def saw_partition(
 def grand_canonical(L: int, beta: float, excess_cap: int) -> TruncatedEnsemble:
     """Partition sum over paths from (1/2, 0) ending anywhere in column
     L - 1/2 (free endpoint height)."""
-    _check_span(L, beta)
+    _check_span(L, beta, excess_cap)
     total = _sum_paths(L, beta, excess_cap, free_end=True)
     tail = saw_tail_bound((L - 1) + excess_cap + 1, beta)
     return TruncatedEnsemble(L=L, beta=beta, excess_cap=excess_cap,
@@ -378,8 +385,7 @@ def regularity_stats(L: int, beta: float, excess_cap: int,
                      u_list: tuple[int, ...] | None = None) -> RegularityStats:
     """Non-regularity probabilities, first-edge orientation, and the external
     contact moment E[e^{a N_ext}] in the unconstrained span-L ensemble."""
-    if L < 2:
-        raise ParameterError("span L must be at least 2")
+    _check_span(L, beta, excess_cap)
     if u_list is None:
         u_list = (0, L // 2, L)
     if any(not 0 <= u <= L for u in u_list):
@@ -477,7 +483,6 @@ class IdentityReport:
     lhs: TruncatedEnsemble     # path-side enumeration with certificate
     rhs: float                 # e^{-beta(L-1)} Z_beta^L Z_{0,L} via kernels+transfer
     rhs_err: float
-    gap: float
 
     @property
     def agrees(self) -> bool:
@@ -499,9 +504,7 @@ def minimal_horizontal_identity(L: int, beta: float,
     Right side: the closed-form reduction to the geometric-walk bridge,
     evaluated through the kernel and transfer modules.
     """
-    from .transfer import log_partition
-
-    _check_span(L, beta)
+    _check_span(L, beta, 0 if cap is None else cap)
     scale = math.exp(-beta * (L - 1))
     for cap in range(4, 64, 2) if cap is None else (cap,):
         counts = _run_profile_counts(L, cap)
@@ -515,8 +518,7 @@ def minimal_horizontal_identity(L: int, beta: float,
     log_z = log_partition(kernel, L)
     rhs = math.exp(-beta * (L - 1) + L * math.log(sos_normalizer(beta)) + log_z)
     rhs_err = rhs * (2.0 * L * kernel.truncation_defect + 1e-13)
-    return IdentityReport(L=L, beta=beta, lhs=lhs, rhs=rhs, rhs_err=rhs_err,
-                          gap=abs(0.5 * (lhs.lower + lhs.upper) - rhs))
+    return IdentityReport(L=L, beta=beta, lhs=lhs, rhs=rhs, rhs_err=rhs_err)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,14 @@ from .potentials import PinningPotential
 # norm ||Ax||^2 <= e^{2 max eps} stays finite; one unit of slack for rounding
 _EPS_MAX = 0.5 * math.log(np.finfo(float).max) - 1.0
 _LOG_QUOT_CAP = 709.0  # just below log(largest float), so exp stays finite
+_MAX_ITER = 20000  # power-iteration step budget
+# power-iteration fallback of localization_certificate: windows [0, 128],
+# [0, 256], ... up to 2^13, settled once the eigenvalue moves by <= 1e-8,
+# and localized when it exceeds 1 + 1e-8
+_EIG_H0 = 128
+_EIG_H_CAP = 1 << 13
+_EIG_TOL = 1e-9
+_EIG_MARGIN = 10 * _EIG_TOL
 
 
 def _apply_stencil(vec: np.ndarray, stencil: np.ndarray, m: int) -> np.ndarray:
@@ -88,8 +96,7 @@ class EigenEstimate:
     converged: bool
 
 
-def top_eigenvalue(op: PinnedOperator, tol: float = 1e-10,
-                   max_iter: int = 20000) -> EigenEstimate:
+def top_eigenvalue(op: PinnedOperator, tol: float = 1e-10) -> EigenEstimate:
     """Power iteration with Rayleigh stopping.
 
     The operator is nonnegative and positive semidefinite (p(0) >= 1/2), so a
@@ -104,7 +111,7 @@ def top_eigenvalue(op: PinnedOperator, tol: float = 1e-10,
     aw = op.matvec(w)  # carried over, so each iteration costs one matvec
     lam = 0.0
     it = 0
-    while it < max_iter:
+    while it < _MAX_ITER:
         it += 1
         nw = float(np.linalg.norm(aw))
         if nw == 0.0:
@@ -150,8 +157,6 @@ class SineBound:
     quotient: float
     chain_bound: float
     normalizer: float       # sum s(i)^2 e^{-eps_i}
-    dirichlet: float        # (1/2) sum P_ij (s_i - s_j)^2 on the window
-    rate: float             # max(0, log(quotient))
     eps_within_log2: bool
 
 
@@ -164,14 +169,9 @@ def sine_profile_bound(kernel: WalkKernel, pot: PinningPotential,
     i = np.arange(n)
     s = np.sin(math.pi * (i + 1) / (d + 2))
     eps = pot.eps_array(n)
-    parr = kernel.prob_array()
-    ps = _apply_stencil(s, parr, kernel.max_step)
-    s_ps = float(s @ ps)
+    ps = _apply_stencil(s, kernel.prob_array(), kernel.max_step)
     norm = float((s * s) @ np.exp(-eps))
-    quotient = s_ps / norm
-    # row sums inside the window, for the exact Dirichlet form
-    row = _apply_stencil(np.ones(n), parr, kernel.max_step)
-    dirichlet = float((s * s) @ row) - s_ps
+    quotient = float(s @ ps) / norm
     # closed-form variant: pi^2 sigma^2 / (2 (d+1)) numerator deficit,
     # (1/4) (d+1)^-2 sum_{i<=d/2} (i+1)^2 eps_i denominator credit
     half = d // 2
@@ -185,8 +185,6 @@ def sine_profile_bound(kernel: WalkKernel, pot: PinningPotential,
         quotient=quotient,
         chain_bound=chain,
         normalizer=norm,
-        dirichlet=dirichlet,
-        rate=max(0.0, math.log(quotient)) if quotient > 0 else 0.0,
         eps_within_log2=not pot.exceeds_log2,
     )
 
@@ -204,21 +202,16 @@ def _default_d_grid(pot: PinningPotential) -> list[int]:
     return sorted(set(grid))
 
 
-def localization_certificate(
-    kernel: WalkKernel,
-    pot: PinningPotential,
-    *,
-    d_grid: list[int] | None = None,
-    eig_h0: int = 128,
-    eig_h_cap: int = 1 << 13,
-    eig_tol: float = 1e-9,
-) -> Certificate:
-    """Scan sine-profile windows, then fall back to power iteration.
+def localization_certificate(kernel: WalkKernel,
+                             pot: PinningPotential) -> Certificate:
+    """Try the indicator vector of a level with reward above log 2, then
+    sine-profile windows, then fall back to power iteration.
 
-    The verdict is ``localized`` iff some window quotient exceeds 1 or the
-    power iterate's quotient on a truncated window exceeds 1 + 10*eig_tol.
-    Both lower-bound the growth rate, rigorously up to floating point.
-    Anything else is ``undetermined`` -- never a delocalization claim.
+    The verdict is ``localized`` iff one of these vectors has a Rayleigh
+    quotient above 1 (above 1 + 1e-8 for the power iterate on a truncated
+    window).  Each lower-bounds the growth rate, rigorously up to floating
+    point.  Anything else is ``undetermined`` -- never a delocalization
+    claim.
     """
     params = {
         "kernel": kernel.spec_string(),
@@ -251,7 +244,7 @@ def localization_certificate(
         )
 
     best: SineBound | None = None
-    for d in d_grid if d_grid is not None else _default_d_grid(pot):
+    for d in _default_d_grid(pot):
         sb = sine_profile_bound(kernel, pot, d)
         evidence.append(Evidence(
             scale=d, check="sine_quotient", measured=sb.quotient,
@@ -274,16 +267,16 @@ def localization_certificate(
         )
 
     windows = _eigen_windows(
-        kernel, pot, eig_h0, eig_h_cap, eig_tol,
-        lambda a, b: abs(b.value - a.value) <= eig_tol * 10)
+        kernel, pot, _EIG_H0, _EIG_H_CAP, _EIG_TOL,
+        lambda a, b: abs(b.value - a.value) <= _EIG_MARGIN)
     for h, eig in windows:
         evidence.append(Evidence(
             scale=h, check="top_eigenvalue", measured=eig.value,
-            threshold=1.0 + 10 * eig_tol, passed=eig.value > 1.0 + 10 * eig_tol,
+            threshold=1.0 + _EIG_MARGIN, passed=eig.value > 1.0 + _EIG_MARGIN,
             detail=f"residual={eig.residual:.3g}",
         ))
     h, eig = windows[-1]
-    if eig.value > 1.0 + 10 * eig_tol:
+    if eig.value > 1.0 + _EIG_MARGIN:
         return Certificate(
             verdict=LOCALIZED,
             evidence=tuple(evidence),

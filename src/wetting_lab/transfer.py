@@ -14,7 +14,7 @@ Conventions, fixed once for every operation here and in the oracle:
     regardless of the wall depth.
 
 Window truncation is monitored, not assumed: if the top rows (and, for free
-bridges, the bottom rows) ever carry a relative mass above ``defect_tol``,
+bridges, the bottom rows) ever carry a relative mass above ``DEFECT_TOL``,
 the window is doubled and the sweep rerun; exhausting the doubling budget
 raises TruncationError with the partial result attached.
 
@@ -34,10 +34,13 @@ import numpy as np
 from .errors import ParameterError, TruncationError, positive_finite
 from .kernels import WalkKernel
 from .potentials import PinningPotential, make_family
+from .spectral import _eigen_windows
 
 DEFECT_TOL = 1e-12
 _STATE_CAP = 1 << 17
 _EPS_MAX = math.log(np.finfo(float).max)  # largest reward with finite e^eps
+_H_CAP = 1 << 13    # largest eigen window of free_energy
+_EIG_TOL = 1e-10    # power-iteration tolerance of free_energy
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +162,6 @@ def partition_profile(
     wall: int | None = None,
     pot: PinningPotential | None = None,
     extra_eps: dict[int, float] | None = None,
-    defect_tol: float = DEFECT_TOL,
 ) -> np.ndarray:
     """log Z for every length 1..L_max in one pass (entry 0 is unused -inf)."""
     if L_max < 1:
@@ -172,7 +174,7 @@ def partition_profile(
         if window.n > _STATE_CAP:
             break
         diag = _diag_for(window, pot, extra_eps)
-        logz, defect = _sweep(kernel, L_max, window, diag, defect_tol)
+        logz, defect = _sweep(kernel, L_max, window, diag, DEFECT_TOL)
         last = logz
         if not defect:
             return logz
@@ -186,12 +188,9 @@ def log_partition(
     L: int,
     wall: int | None = None,
     pot: PinningPotential | None = None,
-    *,
-    defect_tol: float = DEFECT_TOL,
 ) -> float:
     """log of the bridge partition function with optional wall and potential."""
-    return float(partition_profile(
-        kernel, L, wall=wall, pot=pot, defect_tol=defect_tol)[L])
+    return float(partition_profile(kernel, L, wall=wall, pot=pot)[L])
 
 
 def pinned_expectation(kernel: WalkKernel, L: int, j: int, eps: float) -> float:
@@ -221,8 +220,7 @@ def zero_contact_moment(kernel: WalkKernel, L: int, b: float) -> float:
     return math.exp(num - den)
 
 
-def midpoint_prob(kernel: WalkKernel, L: int, j: int,
-                  *, defect_tol: float = DEFECT_TOL) -> np.ndarray:
+def midpoint_prob(kernel: WalkKernel, L: int, j: int) -> np.ndarray:
     """Midpoint profile: entry l is P(both heights at times floor(l/2),
     floor(l/2)+1 stay >= -j) under the unconstrained bridge of length l, for
     every 2 <= l <= L.  Entries 0 and 1 are unused (1.0).  Where
@@ -261,7 +259,7 @@ def midpoint_prob(kernel: WalkKernel, L: int, j: int,
                         prof[l] = float(vm @ cgm) / float(v @ cg)
             last = now
 
-        _, defect = _sweep(kernel, L // 2, window, None, defect_tol, on_step)
+        _, defect = _sweep(kernel, L // 2, window, None, DEFECT_TOL, on_step)
         if not defect:
             return prof
     raise TruncationError(f"midpoint window exhausted at L={L}, j={j}")
@@ -277,11 +275,9 @@ class FreeEnergyEstimate:
     value: float          # primary: max(0, log top eigenvalue), window-doubled
     eigenvalue: float
     residual: float
-    eig_converged: bool
     h_max: int
     cross_raw: float      # (log Z_{2L} - log Z_L)/L, not floored
-    cross: float          # floored at 0
-    gap: float
+    gap: float            # |value - max(0, cross_raw)|
     flagged: bool
     trace: tuple[str, ...]
 
@@ -292,23 +288,18 @@ def free_energy(
     tol: float = 1e-4,
     *,
     L_cross: int = 4096,
-    h0: int | None = None,
-    h_cap: int = 1 << 13,
-    eig_tol: float = 1e-10,
 ) -> FreeEnergyEstimate:
     """Growth rate of the walled, potential-weighted bridge ensemble.
 
     Primary estimator: log of the top eigenvalue of the symmetrised pinned
-    operator on [0, h_max], h_max doubled until the floored value moves by
-    less than ``tol``.  The floor at 0 is sound: the potential is nonnegative
+    operator on [0, h_max], h_max doubled from max(64, 4 (j_max+1),
+    8 max_step) up to 2^13 until the floored value moves by less than
+    ``tol``.  The floor at 0 is sound: the potential is nonnegative
     so the true rate is >= 0, and truncation approaches it from below in the
     delocalized phase.  Cross-check: two-point slope of log Z at L_cross.
     Disagreement beyond 10*tol flags the result but still returns it.
     """
-    from .spectral import _eigen_windows  # deferred: cycle
-
     positive_finite(tol, "tol")
-    positive_finite(eig_tol, "eig_tol")
 
     def rate(eig) -> float:
         return max(0.0, math.log(eig.value))
@@ -323,9 +314,8 @@ def free_energy(
             f"reward at level {j_star} exceeds log 2; stuck-at-level path "
             f"already gives rate >= {math.log(kernel.prob(0)) + pot.eps[j_star]:.6g}"
         )
-    if h0 is None:
-        h0 = max(64, 4 * (pot.j_max + 1), 8 * kernel.max_step)
-    windows = _eigen_windows(kernel, pot, h0, h_cap, eig_tol, settled)
+    h0 = max(64, 4 * (pot.j_max + 1), 8 * kernel.max_step)
+    windows = _eigen_windows(kernel, pot, h0, _H_CAP, _EIG_TOL, settled)
     for h, eig in windows:
         trace.append(f"h_max={h}: lambda={eig.value:.12g} residual={eig.residual:.3g}")
     if len(windows) < 2 or not settled(windows[-2][1], windows[-1][1]):
@@ -334,16 +324,13 @@ def free_energy(
     primary = rate(eig)
     prof = partition_profile(kernel, 2 * L_cross, wall=0, pot=pot)
     cross_raw = float(prof[2 * L_cross] - prof[L_cross]) / L_cross
-    cross = max(0.0, cross_raw)
-    gap = abs(primary - cross)
+    gap = abs(primary - max(0.0, cross_raw))
     return FreeEnergyEstimate(
         value=primary,
         eigenvalue=eig.value,
         residual=eig.residual,
-        eig_converged=eig.converged,
         h_max=h,
         cross_raw=cross_raw,
-        cross=cross,
         gap=gap,
         flagged=gap > 10 * tol,
         trace=tuple(trace),

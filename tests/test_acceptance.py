@@ -211,9 +211,14 @@ def test_criterion_07_threshold_bracketing_consistency():
         wt_rho = (wt.rho_lo, wt.rho_hi)
         fc_rho = (rho(mk(fc_lo), s2).value, rho(mk(fc_hi), s2).value)
         ok &= _overlap(wt_rho, fc_rho)
+        # exact single-level threshold of the nearest-neighbour walk:
+        # e^{eps_c} (1 - sigma^2/2) = 1, i.e. rho_c = -log(1 - sigma^2/2)/sigma^2
+        rho_c = -math.log(1.0 - s2 / 2.0) / s2
+        ok &= wt_rho[0] <= rho_c <= wt_rho[1]
         brackets[s2] = wt_rho
         details.append(f"s2={s2}: wt rho [{wt_rho[0]:.3f},{wt_rho[1]:.3f}] "
-                       f"fe [{fc_rho[0]:.3f},{fc_rho[1]:.3f}]")
+                       f"fe [{fc_rho[0]:.3f},{fc_rho[1]:.3f}] "
+                       f"exact {rho_c:.5f}")
     common_lo = max(b[0] for b in brackets.values())
     common_hi = min(b[1] for b in brackets.values())
     ok &= common_lo <= common_hi

@@ -231,6 +231,13 @@ def test_phase_between_verdicts_monotone_along_amplitude_ray():
     assert seen_localized
 
 
+def test_phase_scan_process_pool_matches_serial():
+    pts = [ScanPoint("binomial:sigma2=0.5", "single:j=0", a)
+           for a in (0.0, 1.0)]
+    kw = dict(L_max=128, fe_cross=128, deterministic_timing=True)
+    assert phase_scan(pts, workers=2, **kw) == phase_scan(pts, **kw)
+
+
 def test_phase_scan_empty_and_errors_in_row():
     assert phase_scan([]) == []
     rows = phase_scan([ScanPoint("binomial:sigma2=0.9", "single:j=0", 0.1)],

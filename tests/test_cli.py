@@ -1,11 +1,15 @@
+import argparse
 import csv
 import hashlib
+import inspect
 import json
 import math
+import os
+import re
 
 import pytest
 
-from wetting_lab.cli import main
+from wetting_lab.cli import build_parser, main
 
 
 def _sha(path):
@@ -110,6 +114,15 @@ def test_free_energy_huge_reward_is_parameter_error(tmp_path, capsys, eps):
      "--pot", "single:j=0,eps=0.8", "--tol", "nan"],
     ["threshold", "--kernel", "binomial:sigma2=0.1", "--family", "single:j=0",
      "--amp-lo", "0.01", "--amp-hi", "0.2", "--tol", "nan"],
+    ["saw-verify", "--beta-list", "nan"],
+    ["saw-verify", "--L-list", "2", "--cap", "-1"],
+    ["saw-verify", "--L-list", "two"],
+    ["saw-enumerate", "--y", "nan,0"],
+    ["saw-enumerate", "--y", "inf,0"],
+    ["saw-enumerate", "--y", "4.5,0.7"],
+    ["saw-enumerate", "--x", "0.7,0", "--y", "4.5,0"],
+    ["phase-scan", "--kernel", "binomial:sigma2=0.5", "--family", "single:j=0",
+     "--amps", "0.1,nan"],
 ])
 def test_out_of_range_numbers_are_parameter_errors(tmp_path, capsys, argv):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 1
@@ -139,12 +152,70 @@ def test_free_energy_outputs_and_determinism(tmp_path):
     cfg = json.load(open(d1 / "run.json"))
     assert cfg["subcommand"] == "free-energy"
     assert cfg["options"]["kernel"] == "binomial:sigma2=0.5"
-    # a run re-executed from its emitted config reproduces the outputs
-    d3 = tmp_path / "c"
-    rc = main(["rerun", "--config", str(d1 / "run.json"),
-               "--out-dir", str(d3)])
-    assert rc == 0
-    assert _sha(d1 / "free_energy.json") == _sha(d3 / "free_energy.json")
+
+
+# one small invocation per subcommand, for the rerun round trip
+RUNS = {
+    "free-energy": ["--kernel", "binomial:sigma2=0.5",
+                    "--pot", "single:j=0,eps=0.5", "--L-cross", "512"],
+    "phase-scan": ["--kernel", "binomial:sigma2=0.5", "--family", "single:j=0",
+                   "--amps", "0.0,1.0", "--L-max", "128", "--deterministic"],
+    "certify-deloc": ["--kernel", "binomial:sigma2=0.25",
+                      "--pot", "single:j=0,eps=0.005", "--L-max", "256"],
+    "certify-loc": ["--kernel", "binomial:sigma2=0.5",
+                    "--pot", "single:j=0,eps=1.0"],
+    "threshold": ["--kernel", "binomial:sigma2=0.5", "--family", "single:j=0",
+                  "--amp-lo", "0.1", "--amp-hi", "1.0", "--tol", "0.5",
+                  "--L-max", "256"],
+    "verify-clt": ["--kernel", "binomial:sigma2=0.5", "--L-max", "64"],
+    "saw-enumerate": ["--y", "2.5,0", "--cap", "2"],
+    "saw-verify": ["--L-list", "2", "--beta-list", "3", "--cap", "2"],
+    "oracle-check": ["--sigma2-list", "0.5", "--L-max", "6"],
+}
+
+
+def _outputs(d):
+    return {name: _sha(d / name) for name in sorted(os.listdir(d))
+            if name != "run.json"}
+
+
+@pytest.mark.parametrize("sub", sorted(RUNS))
+def test_rerun_reproduces_outputs(tmp_path, sub):
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    assert main([sub, *RUNS[sub], "--out-dir", str(d1)]) == 0
+    assert main(["rerun", "--config", str(d1 / "run.json"),
+                 "--out-dir", str(d2)]) == 0
+    assert _outputs(d1) and _outputs(d1) == _outputs(d2)
+    c1, c2 = (json.load(open(d / "run.json")) for d in (d1, d2))
+    c1["options"].pop("out_dir"), c2["options"].pop("out_dir")
+    assert c1 == c2
+
+
+def test_rerun_accepts_configs_with_retired_options(tmp_path):
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    assert main(["certify-loc", *RUNS["certify-loc"],
+                 "--out-dir", str(d1)]) == 0
+    cfg = json.load(open(d1 / "run.json"))
+    cfg["options"].update(c0=1.0, deterministic=False)
+    old = tmp_path / "old_run.json"
+    old.write_text(json.dumps(cfg))
+    assert main(["rerun", "--config", str(old), "--out-dir", str(d2)]) == 0
+    assert _outputs(d1) == _outputs(d2)
+
+
+def test_every_declared_option_is_read():
+    ap = build_parser()
+    (subs,) = [a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in subs.choices.items():
+        source = inspect.getsource(parser.get_default("func"))
+        for action in parser._actions:
+            dest = action.dest
+            if dest in ("help", "out_dir", "exhaustive") or (
+                    dest == "workers" and name != "phase-scan"):
+                continue
+            assert re.search(rf"\bargs\.{dest}\b", source), \
+                f"{name}: option {action.option_strings} is never read"
 
 
 def test_workers_default_is_one(tmp_path):

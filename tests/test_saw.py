@@ -97,10 +97,41 @@ def test_wall_reduces_partition():
     assert wall.partial_sum <= free.partial_sum
 
 
+ENSEMBLES = [
+    lambda beta, cap: saw_partition(2, beta, cap),
+    lambda beta, cap: grand_canonical(2, beta, cap),
+    lambda beta, cap: regularity_stats(3, beta, cap),
+    lambda beta, cap: minimal_horizontal_identity(2, beta, cap=cap),
+]
+ENSEMBLE_IDS = ["saw_partition", "grand_canonical", "regularity_stats",
+                "identity"]
+
+
 def test_beta_floor_refusal():
     with pytest.raises(RefusalError):
         saw_partition(4, 1.2, 4)
+    for ensemble in ENSEMBLES:
+        with pytest.raises(RefusalError):
+            ensemble(BETA_MIN - 0.01, 2)
     assert BETA_MIN == pytest.approx(math.log(3) + 0.5)
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES, ids=ENSEMBLE_IDS)
+@pytest.mark.parametrize("beta, cap", [(math.nan, 2), (math.inf, 2),
+                                       (-math.inf, 2), (2.5, -1)])
+def test_ensembles_reject_bad_beta_and_cap(ensemble, beta, cap):
+    with pytest.raises(ParameterError):
+        ensemble(beta, cap)
+
+
+@pytest.mark.parametrize("x, y", [
+    ((0.5, 0), (4.5, 0.7)), ((0.7, 0), (4.5, 0)), ((0.5, 0), (4.0, 0)),
+    ((0.5, 0), (math.nan, 0)), ((0.5, 0), (math.inf, 0)),
+    ((0.5, 0), (4.5, math.nan)),
+])
+def test_enumerate_rejects_off_lattice_endpoints(x, y):
+    with pytest.raises(ParameterError):
+        list(enumerate_saw(x, y, 2))
 
 
 def test_contacts_straight_and_excursion():

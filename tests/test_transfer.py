@@ -257,7 +257,6 @@ def test_free_energy_zero_potential():
 
 @pytest.mark.parametrize("kw", [
     {"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-4}, {"tol": math.inf},
-    {"eig_tol": math.nan}, {"eig_tol": 0.0},
 ])
 def test_free_energy_rejects_bad_tolerance(kw):
     with pytest.raises(ParameterError, match="tol"):
