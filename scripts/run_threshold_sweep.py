@@ -4,6 +4,9 @@
 For each sigma^2 the certificate-based bracket is compared with the
 free-energy crossing, both in rho units; the spread of the brackets across
 variances shows how uniform the transition point is in this normalisation.
+The crossing is an inertia test: its upper end is where I - A stops being
+positive definite on the window [0, 2^13], so A has an eigenvalue >= 1 and
+the free energy leaves 0.
 """
 
 import argparse

@@ -35,7 +35,7 @@ from .certificates import (
 from .errors import ParameterError, positive_finite
 from .kernels import WalkKernel, parse_kernel_spec
 from .potentials import PinningPotential, decouple, make_family, parse_potential_spec, rho
-from .spectral import localization_certificate
+from .spectral import _min_pivot, localization_certificate, pinned_operator
 from .transfer import free_energy, midpoint_prob, partition_profile
 
 # Shipped midpoint calibration constant: smallest C (on a half-integer grid)
@@ -46,7 +46,6 @@ _SLACK = 1e-12
 _LOG_RATIO_CAP = 709.0  # just below log(largest float), so exp stays finite
 _RATIO_MAX = math.exp(_LOG_RATIO_CAP)
 _MAX_BISECT = 60        # bisection steps of the threshold brackets
-_FE_FLOOR = 1e-8        # free energy above this counts as positive
 
 
 def _ratio(log_ratio: float) -> float:
@@ -205,6 +204,14 @@ def delocalization_certificate(
             notes=("rewards above log 2 cannot be delocalized; "
                    "run the spectral engine instead",),
         )
+    if pot.support:
+        L1 = base_scale(min(pot.support), sigma2)
+        if L_max < L1:
+            return Certificate(
+                verdict=UNDETERMINED, evidence=(), params=params,
+                notes=(f"L_max={L_max} ends before the base scale L_1={L1}, "
+                       "so the induction covers no scale",),
+            )
 
     dec = decouple(pot, b, sigma2)
     weight_sum = dec.rho_sum + pot.tail_bound / (b * sigma2)
@@ -420,13 +427,22 @@ def free_energy_crossing(
     amp_hi: float,
     tol: float = 0.05,
 ) -> tuple[float, float]:
-    """Amplitude bracket around the point where the free energy leaves 0."""
+    """Amplitude bracket around the point where the free energy leaves 0.
+
+    "f > 0" is decided by inertia on the window [0, 2^13]: I - A is not
+    positive definite there exactly when A has an eigenvalue >= 1 on the
+    window, and the window's top eigenvalue lower-bounds the half-line's.
+    So the upper end has f > 0 up to floating point (bar an eigenvalue of
+    exactly 1), while at the lower end I - A is positive definite on the
+    window, which would miss only a bound state wider than 2^13.
+    """
     if not (0 < amp_lo < amp_hi):
         raise ParameterError("need 0 < amp_lo < amp_hi")
     positive_finite(tol, "tol")
 
     def positive(amp: float) -> bool:
-        return free_energy(kernel, make_pot(amp)).value > _FE_FLOOR
+        op = pinned_operator(kernel, make_pot(amp), 1 << 13)
+        return _min_pivot(op, 1.0) <= 0.0
 
     if positive(amp_lo) or not positive(amp_hi):
         raise ParameterError("crossing endpoints do not separate")

@@ -244,6 +244,8 @@ def _cmd_saw_verify(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.L_max < 1:  # nothing to compare would pass vacuously
+        raise ParameterError("--L-max must be at least 1")
     rows = []
     worst = 0.0
     for s2 in _numbers(args.sigma2_list, "--sigma2-list"):

@@ -128,6 +128,46 @@ def top_eigenvalue(op: PinnedOperator, tol: float = 1e-10) -> EigenEstimate:
                          converged=res <= tol * max(1.0, abs(value)))
 
 
+def _min_pivot(op: PinnedOperator, shift: float) -> float:
+    """Smallest LDL^T pivot of shift*I - A on the window of ``op``; 0.0 as
+    soon as a pivot is not positive.
+
+    Blocked Cholesky over blocks of b = max(64, m) rows, so only the
+    m x m corner couples neighbouring blocks: each block's Schur complement
+    needs just the inverse of the previous factor's last m x m corner.  All
+    pivots positive means shift*I - A is positive definite (Sylvester's law
+    of inertia), so every Rayleigh quotient of A on the window, or on any
+    leading block of it, is below ``shift``.
+    """
+    m = op.max_step
+    b = max(64, m)
+    k = np.arange(b)
+    off = k[:, None] - k[None, :]
+    band = np.where(np.abs(off) <= m, op.stencil[np.clip(off + m, 0, 2 * m)], 0.0)
+    # A between the first rows of a block and the last m of the one before
+    # (the sign of this coupling drops out of the Schur update)
+    couple = np.triu(op.stencil[np.clip(off[:m, :m] + 2 * m, 0, 2 * m)])
+    e = op.exp_half
+    best = math.inf
+    corner_inv = None
+    for s in range(0, op.dim, b):
+        es = e[s:s + b]
+        nb = len(es)
+        schur = shift * np.eye(nb) - es[:, None] * band[:nb, :nb] * es
+        if corner_inv is not None:
+            r = min(m, nb)
+            x = corner_inv @ (couple[:r] * es[:r, None] * e[s - m:s]).T
+            schur[:r, :r] -= x.T @ x
+        try:
+            fac = np.linalg.cholesky(schur)
+        except np.linalg.LinAlgError:
+            return 0.0
+        best = min(best, float(np.diag(fac).min()) ** 2)
+        if s + b < op.dim:
+            corner_inv = np.linalg.inv(fac[b - m:, b - m:])
+    return best
+
+
 def _eigen_windows(kernel: WalkKernel, pot: PinningPotential, h: int,
                    h_cap: int, tol: float, settled) -> list[tuple[int, EigenEstimate]]:
     """(h, top eigenvalue) on the windows [0, h], [0, 2h], ... until
@@ -210,8 +250,10 @@ def localization_certificate(kernel: WalkKernel,
     The verdict is ``localized`` iff one of these vectors has a Rayleigh
     quotient above 1 (above 1 + 1e-8 for the power iterate on a truncated
     window).  Each lower-bounds the growth rate, rigorously up to floating
-    point.  Anything else is ``undetermined`` -- never a delocalization
-    claim.
+    point.  Power iteration runs only when (1 + 1e-8) I - A is not positive
+    definite on the largest window [0, 2^13]; when it is, no power iterate
+    could pass and the answer is ``undetermined`` at once.  Anything else
+    is ``undetermined`` too -- never a delocalization claim.
     """
     params = {
         "kernel": kernel.spec_string(),
@@ -264,6 +306,26 @@ def localization_certificate(kernel: WalkKernel,
                 "rate": math.log(best.quotient),
             },
             notes=("rigorous modulo floating point",),
+        )
+
+    # every eigen window below is a leading block of the cap window, so a
+    # positive definite (1 + margin) I - A there rules out all of them
+    pivot = _min_pivot(pinned_operator(kernel, pot, _EIG_H_CAP),
+                       1.0 + _EIG_MARGIN)
+    if pivot > 0.0:
+        evidence.append(Evidence(
+            scale=_EIG_H_CAP, check="inertia", measured=pivot,
+            threshold=0.0, passed=False,
+            detail=f"smallest LDL^T pivot of (1 + {_EIG_MARGIN:g}) I - A",
+        ))
+        return Certificate(
+            verdict=UNDETERMINED,
+            evidence=tuple(evidence),
+            params=params,
+            notes=("no certificate found",
+                   f"(1 + {_EIG_MARGIN:g}) I - A is positive definite on "
+                   f"[0, {_EIG_H_CAP}], so no eigen window up to it can "
+                   "localize"),
         )
 
     windows = _eigen_windows(

@@ -215,6 +215,7 @@ def test_criterion_07_threshold_bracketing_consistency():
         # e^{eps_c} (1 - sigma^2/2) = 1, i.e. rho_c = -log(1 - sigma^2/2)/sigma^2
         rho_c = -math.log(1.0 - s2 / 2.0) / s2
         ok &= wt_rho[0] <= rho_c <= wt_rho[1]
+        ok &= fc_rho[0] <= rho_c <= fc_rho[1]
         brackets[s2] = wt_rho
         details.append(f"s2={s2}: wt rho [{wt_rho[0]:.3f},{wt_rho[1]:.3f}] "
                        f"fe [{fc_rho[0]:.3f},{fc_rho[1]:.3f}] "

@@ -119,6 +119,24 @@ def test_deloc_supercritical_fails():
     assert cert.notes
 
 
+def test_deloc_below_base_scale_is_undetermined():
+    # L_1 = 8 (j+1)^2 / sigma^2 = 16 here: an L_max short of it covers none
+    # of the induction and must not be labelled delocalized
+    pot = make_family("single", j=0, amplitude=0.01)
+    b = rho(pot, 0.5).upper
+    for L_max in (1, 15):
+        cert = delocalization_certificate(K5, pot, b=b, L_max=L_max)
+        assert cert.verdict == UNDETERMINED
+        assert cert.valid_up_to is None
+        assert "L_1=16" in cert.notes[0]
+    cert = delocalization_certificate(K5, pot, b=b, L_max=16)
+    assert cert.verdict == DELOCALIZED_EMPIRICAL
+    # the floor is the smallest level's base scale (j=2 alone: L_1 = 144)
+    pot = make_family("single", j=2, amplitude=0.01)
+    assert "L_1=144" in delocalization_certificate(
+        K5, pot, b=b, L_max=100).notes[0]
+
+
 def test_deloc_nonsummable_power_is_refused_cleanly():
     pot = make_family("power", delta=0.5, amplitude=0.05, sign="-")
     cert = delocalization_certificate(K5, pot, b=rho(pot, 0.5).value,
@@ -201,6 +219,24 @@ def test_bracketing_rejects_bad_tolerance(tol):
         wetting_threshold(K5, mk, 0.1, 1.0, tol=tol, L_max=256)
     with pytest.raises(ParameterError, match="tol"):
         free_energy_crossing(K5, mk, 0.1, 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("j", [0, 1, 3])
+@pytest.mark.parametrize("s2", [0.1, 0.25, 0.5])
+def test_closed_form_threshold_inside_both_brackets(j, s2):
+    kernel = make_binomial(s2)
+
+    def mk(amp):
+        return make_family("single", j=j, amplitude=amp)
+
+    lo0, hi0 = 0.1 * s2 / (j + 1), 2.5 * s2 / (j + 1)
+    # exact single-level threshold of the nearest-neighbour walk
+    rho_c = -((j + 1) / s2) * math.log(1.0 - s2 / (2.0 * (j + 1)))
+    wt = wetting_threshold(kernel, mk, lo0, hi0, tol=0.05, L_max=2048)
+    assert wt.rho_lo <= rho_c <= wt.rho_hi
+    fc_lo, fc_hi = free_energy_crossing(kernel, mk, lo0, hi0, tol=0.05)
+    assert rho(mk(fc_lo), s2).value <= rho_c <= rho(mk(fc_hi), s2).value
+    assert fc_hi - fc_lo <= 0.05 * fc_lo
 
 
 def test_phase_scan_rows_and_consistency():

@@ -123,6 +123,8 @@ def test_free_energy_huge_reward_is_parameter_error(tmp_path, capsys, eps):
     ["saw-enumerate", "--x", "0.7,0", "--y", "4.5,0"],
     ["phase-scan", "--kernel", "binomial:sigma2=0.5", "--family", "single:j=0",
      "--amps", "0.1,nan"],
+    ["oracle-check", "--L-max", "0"],
+    ["oracle-check", "--L-max", "-3"],
 ])
 def test_out_of_range_numbers_are_parameter_errors(tmp_path, capsys, argv):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 1
@@ -267,6 +269,17 @@ def test_oracle_check(tmp_path):
     with open(tmp_path / "oracle_check.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert all(float(r["max_rel_err"]) <= 1e-12 for r in rows)
+
+
+def test_certify_deloc_short_of_base_scale(tmp_path):
+    rc = main(["certify-deloc", "--kernel", "binomial:sigma2=0.5",
+               "--pot", "single:j=0,eps=0.01", "--L-max", "1",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    cert = _strict_json(tmp_path / "certificate.json")
+    assert cert["verdict"] == "undetermined"
+    assert cert["valid_up_to"] is None
+    assert "L_1=16" in cert["notes"][0]
 
 
 def test_saw_enumerate_stream(tmp_path):

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from wetting_lab import spectral
 from wetting_lab.certificates import LOCALIZED, UNDETERMINED
 from wetting_lab.errors import ParameterError
 from wetting_lab.kernels import make_binomial, make_sos
 from wetting_lab.potentials import make_family
 from wetting_lab.spectral import (
     _EPS_MAX,
+    _min_pivot,
     localization_certificate,
     pinned_operator,
     sine_profile_bound,
@@ -176,3 +178,75 @@ def test_chain_bound_is_no_sharper_than_quotient():
     sb = sine_profile_bound(K1, pot, 6)
     assert sb.eps_within_log2
     assert sb.chain_bound <= sb.quotient + 1e-9
+
+
+_PIVOT_POTS = (
+    lambda a: make_family("single", j=0, amplitude=a),
+    lambda a: make_family("single", j=3, amplitude=a),
+    lambda a: make_family("exp", delta=1.0, amplitude=a),
+    lambda a: make_family("power", delta=2.0, amplitude=a),
+)
+
+
+@pytest.mark.parametrize("kernel", [K1, make_binomial(0.25), K5,
+                                    make_sos(2.5)],
+                         ids=lambda k: k.spec_string())
+def test_min_pivot_sign_matches_dense_spectrum(kernel):
+    # blocks are 64 rows: h=5 is one block shorter than the sos stencil
+    # (m=11), h=130 ends on a 3-row block (shorter than m) and h=200 on a
+    # 9-row one
+    signs = set()
+    for mk, a in itertools.product(_PIVOT_POTS, np.geomspace(0.005, 0.4, 9)):
+        pot = mk(a)
+        for h, shift in itertools.product((5, 40, 130, 200),
+                                          (1.0, 1.0 + 1e-8)):
+            op = pinned_operator(kernel, pot, h)
+            lam = np.linalg.eigvalsh(shift * np.eye(op.dim) - op.dense())[0]
+            pivot = _min_pivot(op, shift)
+            assert (pivot > 0.0) == (lam > 0.0), (pot.spec_string(), h)
+            if pivot > 0.0:
+                # pivot k is 1 / (M_k^-1)_kk for the leading block M_k,
+                # so at least lambda_min(M_k) >= lambda_min(M)
+                assert lam <= pivot * (1.0 + 1e-9)
+            signs.add(lam > 0.0)
+    assert signs == {True, False}
+
+
+def test_min_pivot_of_one_row_and_free_walk():
+    pot = make_family("single", j=0, amplitude=0.3)
+    op = pinned_operator(K5, pot, 0)
+    assert _min_pivot(op, 1.0) == pytest.approx(1.0 - 0.5 * math.exp(0.3),
+                                                rel=1e-12)
+    # the free walk's top eigenvalue stays below 1 on every window
+    zero = make_family("list", values=[0.0])
+    assert _min_pivot(pinned_operator(K1, zero, 8192), 1.0) > 0.0
+
+
+def _loc_key(cert):
+    return cert.verdict, cert.spectral
+
+
+@pytest.mark.parametrize("kernel,pots,n_inertia", [
+    # the three undetermined points of the threshold workload, one that
+    # power iteration leaves undetermined just above eps_c = 0.05129, one
+    # it localizes, and a sine one
+    (K1, [make_family("single", j=0, amplitude=a)
+          for a in (0.01, 0.03375, 0.045625, 0.0515, 0.0575, 0.2)], 3),
+    (K5, [make_family("exp", delta=1.0, amplitude=a)
+          for a in (0.02, 0.2, 0.3)], 1),
+], ids=["binomial-0.1-single", "binomial-0.5-exp"])
+def test_inertia_shortcut_keeps_every_verdict(monkeypatch, kernel, pots,
+                                              n_inertia):
+    fast = [localization_certificate(kernel, p) for p in pots]
+    monkeypatch.setattr(spectral, "_min_pivot", lambda op, shift: 0.0)
+    slow = [localization_certificate(kernel, p) for p in pots]
+    assert [_loc_key(c) for c in fast] == [_loc_key(c) for c in slow]
+    assert {c.verdict for c in fast} == {LOCALIZED, UNDETERMINED}
+    ruled_out = [c for c in fast if c.evidence[-1].check == "inertia"]
+    assert len(ruled_out) == n_inertia
+    for cert in ruled_out:
+        row = cert.evidence[-1]
+        assert cert.verdict == UNDETERMINED
+        assert (row.scale, row.threshold, row.passed) == (8192, 0.0, False)
+        assert row.measured > 0.0
+        assert all(e.check == "sine_quotient" for e in cert.evidence[:-1])
