@@ -272,30 +272,38 @@ def _cmd_oracle_check(args) -> int:
     return 0 if worst <= 1e-12 else 3
 
 
-_DISPATCH = {
-    "free-energy": _cmd_free_energy,
-    "phase-scan": _cmd_phase_scan,
-    "certify-deloc": _cmd_certify_deloc,
-    "certify-loc": _cmd_certify_loc,
-    "threshold": _cmd_threshold,
-    "verify-clt": _cmd_verify_clt,
-    "saw-enumerate": _cmd_saw_enumerate,
-    "saw-verify": _cmd_saw_verify,
-    "oracle-check": _cmd_oracle_check,
-}
+# options of earlier versions that a stored run.json may still carry; each
+# is dropped where the subcommand no longer declares it
+_RETIRED = frozenset({"c0", "deterministic"})
 
 
 def _cmd_rerun(args) -> int:
     cfg = RunConfig.load(args.config)
-    if cfg.subcommand not in _DISPATCH:
+    (subs,) = [a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    parser = subs.choices.get(cfg.subcommand)
+    if parser is None or cfg.subcommand == "rerun":
         raise ParameterError(f"unknown subcommand in config: {cfg.subcommand}")
-    options = dict(cfg.options)
+    declared = {a.dest: a for a in parser._actions if a.dest != "help"}
+    unknown = sorted(set(cfg.options) - set(declared) - _RETIRED)
+    if unknown:
+        raise ParameterError(
+            f"config options not declared by {cfg.subcommand}: {unknown}")
+    options = {}
+    for dest, action in declared.items():
+        if dest in cfg.options:
+            options[dest] = cfg.options[dest]
+        elif action.required:
+            raise ParameterError(
+                f"config lacks the required option {action.option_strings[0]}")
+        else:
+            options[dest] = action.default
     if args.out_dir is not None:
         options["out_dir"] = args.out_dir
     ns = argparse.Namespace(**options)
     _emit_run_json(RunConfig(subcommand=cfg.subcommand, options=options),
                    ns.out_dir)
-    return _DISPATCH[cfg.subcommand](ns)
+    return parser.get_default("func")(ns)
 
 
 def _emit_run_json(cfg: RunConfig, out_dir: str) -> None:

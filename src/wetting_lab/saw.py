@@ -10,9 +10,16 @@ a length budget (minimal length + excess cap).  It runs on a flat grid, cell
 (col, y) at index (col - c0) * H + (y - y0), so the steps E, N, W, S are the
 offsets +H, +1, -H, -1.  Per-cell lists built once per call hold the
 distance still to go (closed for padding, blocked and occupied cells), the
-arrival factor and a mark; per step the search keeps the weight, the marked
-count and each line's horizontal crossings, so statistics are read off at
-each arrival without rebuilding the path.
+arrival factor and a mark; per step the search keeps the product of arrival
+factors, the marked count and each line's horizontal crossings, so
+statistics are read off at each arrival without rebuilding the path.
+
+The length weight stays out of the search: every ensemble sum is a power
+series in e^{-beta} whose coefficients, the sums S[n] over paths of length
+n, do not depend on beta.  Each ensemble shape enumerates its S[n] once per
+process (an lru_cache keyed by everything but beta) and every beta
+evaluates sum_n S[n] e^{-beta n}.  Without arrival factors S[n] is an exact
+integer count, so the value is exact up to that last evaluation.
 
 The discarded mass is bounded rigorously by the crude path count: at most
 4 * 3^(m-1) paths of length m leave any fixed vertex, so the tail of the
@@ -30,7 +37,9 @@ byte for byte.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -43,6 +52,9 @@ from .transfer import log_partition
 
 BETA_MARGIN = 0.5
 BETA_MIN = math.log(3.0) + BETA_MARGIN
+# -log of the smallest normal float (about 708.4): spans whose shortest path
+# weighs less than that are refused
+_LOG_TINY = -math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -89,17 +101,18 @@ class _Search:
     """Self-avoiding paths from ``start`` with at most ``max_len`` edges.
 
     They arrive at ``goal`` or, with ``free_end``, at any vertex of goal's
-    column (and may go on).  Iterating yields (weight, marked vertices) at
-    each arrival; the weight multiplies step_w * factor(u, y) per vertex
-    entered.  While the consumer holds an arrival, ``path`` lists the cells
-    and ``cross[x - c0]`` counts the horizontal edges crossing the line x.
+    column (and may go on).  Iterating yields (length, weight, marked
+    vertices) at each arrival; the weight is the product of factor(u, y)
+    over the vertices entered, 1.0 without ``factor``.  While the consumer
+    holds an arrival, ``path`` lists the cells and ``cross[x - c0]`` counts
+    the horizontal edges crossing the line x.
     ``gate`` is the distance still to go (Manhattan, or horizontal only with
     a free end) or ``closed``: one comparison with the budget admits a step.
     """
 
     def __init__(self, start: tuple[int, int], goal: tuple[int, int],
-                 max_len: int, *, free_end: bool = False, step_w: float = 1.0,
-                 factor=None, blocked=None, marked=None):
+                 max_len: int, *, free_end: bool = False, factor=None,
+                 blocked=None, marked=None):
         (su, sy), (gu, gy) = start, goal
         sc, gc = (su - 1) // 2, (gu - 1) // 2
 
@@ -132,13 +145,13 @@ class _Search:
             self.steps[i] = ((i + H, j + 1), (i + 1, W),
                              (i - H, j), (i - 1, W))
         self.path = [(sc - c0) * H + (sy - y0)]
-        self.max_len, self.step_w, self.stop = max_len, step_w, not free_end
+        self.max_len, self.stop = max_len, not free_end
 
     def __iter__(self):
         gate, steps, factor, mark = (self.gate, self.steps, self.factor,
                                      self.mark)
         cross, path, closed = self.cross, self.path, self.closed
-        step_w, stop = self.step_w, self.stop
+        stop, top = self.stop, self.max_len + 1
         gate[path[0]] = closed
         w, m, rem, it = 1.0, 0, self.max_len, iter(steps[path[0]])
         stack = []
@@ -147,12 +160,12 @@ class _Search:
                 d = gate[n]
                 if d >= rem:
                     continue
-                nw = w * step_w * factor[n]
+                nw = w * factor[n]
                 nm = m + mark[n]
                 cross[k] += 1
                 path.append(n)
                 if not d:
-                    yield nw, nm
+                    yield top - rem, nw, nm
                     if stop:
                         path.pop()
                         cross[k] -= 1
@@ -237,14 +250,20 @@ class TruncatedEnsemble:
         return (self.lower, self.upper)
 
 
-def _sum_paths(L: int, beta: float, excess_cap: int, **search) -> float:
-    """Total weight of the span-L paths, (1/2, 0) to column L - 1/2; the
-    keywords go to ``_Search``."""
-    total = 0.0
-    for w, _ in _Search((1, 0), (2 * L - 1, 0), (L - 1) + excess_cap,
-                        step_w=math.exp(-beta), **search):
-        total += w
-    return total
+def _length_sums(search: _Search, L: int, excess_cap: int) -> tuple:
+    """Arrival weights of a span-L search summed by length, for the lengths
+    L - 1 ... L - 1 + excess_cap."""
+    sums = [0.0] * (L + excess_cap)
+    for n, w, _ in search:
+        sums[n] += w
+    return tuple(sums[L - 1:])
+
+
+def _at_beta(sums, L: int, beta: float) -> float:
+    """sum_n S[n] e^{-beta n} over per-length sums starting at n = L - 1,
+    in ascending n, correctly rounded from the rounded terms."""
+    return math.fsum(s * math.exp(-beta * n)
+                     for n, s in enumerate(sums, start=L - 1))
 
 
 def _check_span(L: int, beta: float, excess_cap: int) -> None:
@@ -258,6 +277,38 @@ def _check_span(L: int, beta: float, excess_cap: int) -> None:
         raise RefusalError(
             f"beta={beta} below BETA_MIN={BETA_MIN:.4f}: refusing, "
             "no truncation certificate is possible")
+    if beta * (L - 1) > _LOG_TINY:
+        raise RefusalError(
+            f"beta*(L-1)={beta * (L - 1):.6g} exceeds {_LOG_TINY:.6g}: the "
+            "weight of the shortest path is below the normal float range")
+
+
+@functools.lru_cache
+def _bridge_sums(L: int, excess_cap: int, constraint: str,
+                 avoid_level: int | None, pot: PinningPotential | None,
+                 eps_ext: float) -> tuple[float, ...]:
+    """Per-length sums of the arrival factors over span-L paths (the
+    arguments of ``saw_partition`` but beta)."""
+    blocked = {
+        "none": None,
+        "wall": lambda u, y: y < 0,
+        # the goal stays allowed
+        "avoid": lambda u, y: y == avoid_level and (u, y) != (2 * L - 1, 0),
+    }[constraint]
+    eps = pot.eps if pot is not None else ()
+    ext_w = math.exp(eps_ext) if eps_ext else 1.0
+
+    def arrival_factor(u: int, y: int) -> float:
+        f = 1.0
+        if 0 <= y < len(eps) and 3 <= u <= 2 * L - 3:  # interior contact
+            f *= math.exp(eps[y])
+        if eps_ext and y == 0 and (u < 1 or u > 2 * L - 1):
+            f *= ext_w
+        return f
+
+    search = _Search((1, 0), (2 * L - 1, 0), (L - 1) + excess_cap,
+                     factor=arrival_factor, blocked=blocked)
+    return _length_sums(search, L, excess_cap)
 
 
 def saw_partition(
@@ -277,40 +328,32 @@ def saw_partition(
     contacts; ``eps_ext`` weights external height-0 contacts.
     """
     _check_span(L, beta, excess_cap)
-    blocked = {
-        "none": None,
-        "wall": lambda u, y: y < 0,
-        # the goal stays allowed
-        "avoid": lambda u, y: y == avoid_level and (u, y) != (2 * L - 1, 0),
-    }
-    if constraint not in blocked:
+    if constraint not in ("none", "wall", "avoid"):
         raise ParameterError(f"unknown constraint {constraint!r}")
     if constraint == "avoid" and avoid_level is None:
         raise ParameterError("'avoid' constraint needs avoid_level")
     eps = pot.eps if pot is not None else ()
     eps_max = max(max(eps, default=0.0), eps_ext, 0.0)
     tail = saw_tail_bound((L - 1) + excess_cap + 1, beta, eps_max)
-    ext_w = math.exp(eps_ext) if eps_ext else 1.0
-
-    def arrival_factor(u: int, y: int) -> float:
-        f = 1.0
-        if 0 <= y < len(eps) and 3 <= u <= 2 * L - 3:  # interior contact
-            f *= math.exp(eps[y])
-        if eps_ext and y == 0 and (u < 1 or u > 2 * L - 1):
-            f *= ext_w
-        return f
-
-    part = _sum_paths(L, beta, excess_cap, factor=arrival_factor,
-                      blocked=blocked[constraint])
+    sums = _bridge_sums(L, excess_cap, constraint, avoid_level, pot, eps_ext)
     return TruncatedEnsemble(L=L, beta=beta, excess_cap=excess_cap,
-                             partial_sum=part, tail_cert=tail)
+                             partial_sum=_at_beta(sums, L, beta),
+                             tail_cert=tail)
+
+
+@functools.lru_cache
+def _free_end_counts(L: int, excess_cap: int) -> tuple[float, ...]:
+    """Per-length counts of the paths of ``grand_canonical``."""
+    search = _Search((1, 0), (2 * L - 1, 0), (L - 1) + excess_cap,
+                     free_end=True)
+    return _length_sums(search, L, excess_cap)
 
 
 def grand_canonical(L: int, beta: float, excess_cap: int) -> TruncatedEnsemble:
     """Partition sum over paths from (1/2, 0) ending anywhere in column
     L - 1/2 (free endpoint height)."""
     _check_span(L, beta, excess_cap)
-    total = _sum_paths(L, beta, excess_cap, free_end=True)
+    total = _at_beta(_free_end_counts(L, excess_cap), L, beta)
     tail = saw_tail_bound((L - 1) + excess_cap + 1, beta)
     return TruncatedEnsemble(L=L, beta=beta, excess_cap=excess_cap,
                              partial_sum=total, tail_cert=tail)
@@ -380,41 +423,64 @@ class RegularityStats:
     a_ext: float
 
 
+@functools.lru_cache
+def _regularity_counts(L: int, excess_cap: int, u_list: tuple[int, ...]):
+    """Per-length path counts for ``regularity_stats``, lengths L - 1 ...
+    L - 1 + excess_cap: (all paths, per u of u_list the paths not regular at
+    u, paths whose first edge is vertical, ext) where ext[n][k] counts the
+    paths with k external contacts."""
+    top = L + excess_cap
+    total, fv = [0] * top, [0] * top
+    not_regular = [[0] * top for _ in u_list]
+    ext = [[0] * (top + 1) for _ in range(top)]
+    search = _Search((1, 0), (2 * L - 1, 0), (L - 1) + excess_cap,
+                     # marks: external contacts
+                     marked=lambda u, y: y == 0 and not 1 <= u <= 2 * L - 1)
+    cross, path = search.cross, search.path
+    # is_regular: crossed once for interior u, never for u in {0, L}
+    lines = [(counts, u - search.c0, 0 if u in (0, L) else 1)
+             for counts, u in zip(not_regular, u_list)]
+    for n, _, n_ext in search:
+        total[n] += 1
+        for counts, k, once in lines:
+            if cross[k] != once:
+                counts[n] += 1
+        if abs(path[1] - path[0]) == 1:  # same column: first edge vertical
+            fv[n] += 1
+        ext[n][n_ext] += 1
+    cut = L - 1
+    return (tuple(total[cut:]), tuple(tuple(c[cut:]) for c in not_regular),
+            tuple(fv[cut:]), tuple(tuple(row) for row in ext[cut:]))
+
+
 def regularity_stats(L: int, beta: float, excess_cap: int,
                      a_ext: float = 0.1,
                      u_list: tuple[int, ...] | None = None) -> RegularityStats:
     """Non-regularity probabilities, first-edge orientation, and the external
     contact moment E[e^{a N_ext}] in the unconstrained span-L ensemble."""
     _check_span(L, beta, excess_cap)
-    if u_list is None:
-        u_list = (0, L // 2, L)
+    u_list = (0, L // 2, L) if u_list is None else tuple(u_list)
     if any(not 0 <= u <= L for u in u_list):
         raise ParameterError("u must lie in [0, L]")
-    sums = {u: 0.0 for u in u_list}
-    total = fv = ext = 0.0
-    search = _Search((1, 0), (2 * L - 1, 0), (L - 1) + excess_cap,
-                     step_w=math.exp(-beta),  # marks: external contacts
-                     marked=lambda u, y: y == 0 and not 1 <= u <= 2 * L - 1)
-    cross, path = search.cross, search.path
-    # is_regular: crossed once for interior u, never for u in {0, L}
-    lines = [(u, u - search.c0, 0 if u in (0, L) else 1) for u in u_list]
-    for w, n_ext in search:
-        total += w
-        for u, k, once in lines:
-            if cross[k] != once:
-                sums[u] += w
-        if abs(path[1] - path[0]) == 1:  # same column: first edge vertical
-            fv += w
-        ext += w * math.exp(a_ext * n_ext)
+    counts, not_regular, fv, ext = _regularity_counts(L, excess_cap, u_list)
+    total = _at_beta(counts, L, beta)
+    ext_sum = math.fsum(c * math.exp(a_ext * k - beta * n)
+                        for n, row in enumerate(ext, start=L - 1)
+                        for k, c in enumerate(row) if c)
     tail0 = saw_tail_bound((L - 1) + excess_cap + 1, beta)
     tail_a = saw_tail_bound((L - 1) + excess_cap + 1, beta, eps_max=a_ext)
+
+    def probability(sums):
+        return _ratio_interval(_at_beta(sums, L, beta), total, tail0, tail0,
+                               cap=1.0)
+
     return RegularityStats(
         L=L, beta=beta, excess_cap=excess_cap, partial_sum=total,
         tail_cert=tail0,
-        not_regular={u: _ratio_interval(sums[u], total, tail0, tail0, cap=1.0)
-                     for u in u_list},
-        first_edge_vertical=_ratio_interval(fv, total, tail0, tail0, cap=1.0),
-        ext_moment=_ratio_interval(ext, total, tail_a, tail0),
+        not_regular={u: probability(sums)
+                     for u, sums in zip(u_list, not_regular)},
+        first_edge_vertical=probability(fv),
+        ext_moment=_ratio_interval(ext_sum, total, tail_a, tail0),
         a_ext=a_ext,
     )
 

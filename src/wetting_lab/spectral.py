@@ -33,6 +33,9 @@ _EIG_H0 = 128
 _EIG_H_CAP = 1 << 13
 _EIG_TOL = 1e-9
 _EIG_MARGIN = 10 * _EIG_TOL
+# levels of a long-tailed support that get their own sine windows; a window
+# pair for every level would give power:delta=1,amp=0.01 11,555 windows
+_SINE_LEVELS = 64
 
 
 def _apply_stencil(vec: np.ndarray, stencil: np.ndarray, m: int) -> np.ndarray:
@@ -230,13 +233,16 @@ def sine_profile_bound(kernel: WalkKernel, pot: PinningPotential,
 
 
 def _default_d_grid(pot: PinningPotential) -> list[int]:
+    """Dyadic windows up to 4 (j_max + 1), plus the windows 2j and 2j + 2
+    centred near level j for the _SINE_LEVELS levels with the largest
+    rewards (every level of a shorter support)."""
     top = max(4 * (pot.j_max + 1), 64)
     grid = [0, 1, 2, 3]
     d = 4
     while d <= top:
         grid.append(d)
         d *= 2
-    for j in pot.support:
+    for j in sorted(pot.support, key=lambda j: -pot.eps[j])[:_SINE_LEVELS]:
         grid.append(2 * j)
         grid.append(2 * j + 2)
     return sorted(set(grid))

@@ -132,10 +132,17 @@ def test_out_of_range_numbers_are_parameter_errors(tmp_path, capsys, argv):
     assert err.startswith("parameter error:") and "Traceback" not in err
 
 
-def test_refusal_exit_code(tmp_path):
+def test_refusal_exit_code(tmp_path, capsys):
     rc = main(["saw-verify", "--L-list", "2", "--beta-list", "1.0",
                "--cap", "4", "--out-dir", str(tmp_path)])
     assert rc == 2
+    # spans whose weight e^{-beta (L-1)} is below the normal float range
+    for extra in (["--L-list", "300", "--beta-list", "3"],
+                  ["--L-list", "1100"]):
+        capsys.readouterr()
+        assert main(["saw-verify", *extra, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("refused:") and "Traceback" not in err
 
 
 def test_free_energy_outputs_and_determinism(tmp_path):
@@ -203,6 +210,50 @@ def test_rerun_accepts_configs_with_retired_options(tmp_path):
     old.write_text(json.dumps(cfg))
     assert main(["rerun", "--config", str(old), "--out-dir", str(d2)]) == 0
     assert _outputs(d1) == _outputs(d2)
+    # the retired keys are dropped, not echoed
+    assert json.load(open(d2 / "run.json"))["options"].keys() == \
+        json.load(open(d1 / "run.json"))["options"].keys()
+
+
+def test_rerun_refuses_undeclared_options(tmp_path, capsys):
+    d1 = tmp_path / "a"
+    assert main(["saw-verify", *RUNS["saw-verify"], "--out-dir", str(d1)]) == 0
+    cfg = json.load(open(d1 / "run.json"))
+    cfg["options"]["cpa"] = cfg["options"].pop("cap")  # misspelt
+    bad = tmp_path / "bad_run.json"
+    bad.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["rerun", "--config", str(bad),
+                 "--out-dir", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error:") and "'cpa'" in err
+    assert not (tmp_path / "b").exists()
+
+
+def test_rerun_fills_missing_options_from_defaults(tmp_path, capsys):
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    assert main(["saw-verify", "--cap", "2", "--beta-list", "3",
+                 "--out-dir", str(d1)]) == 0
+    cfg = json.load(open(d1 / "run.json"))
+    del cfg["options"]["L_list"], cfg["options"]["workers"]
+    short = tmp_path / "short_run.json"
+    short.write_text(json.dumps(cfg))
+    assert main(["rerun", "--config", str(short), "--out-dir", str(d2)]) == 0
+    assert _outputs(d1) == _outputs(d2)
+    c1, c2 = (json.load(open(d / "run.json")) for d in (d1, d2))
+    c1["options"].pop("out_dir"), c2["options"].pop("out_dir")
+    assert c1 == c2
+    # a required option has no default to fall back on
+    d3 = tmp_path / "c"
+    assert main(["certify-loc", *RUNS["certify-loc"],
+                 "--out-dir", str(d3)]) == 0
+    cfg = json.load(open(d3 / "run.json"))
+    del cfg["options"]["kernel"]
+    short.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["rerun", "--config", str(short),
+                 "--out-dir", str(tmp_path / "d")]) == 1
+    assert "--kernel" in capsys.readouterr().err
 
 
 def test_every_declared_option_is_read():

@@ -1,8 +1,10 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wetting_lab import saw
 from wetting_lab.errors import ParameterError, RefusalError
 from wetting_lab.potentials import make_family
 from wetting_lab.saw import (
@@ -19,7 +21,10 @@ from wetting_lab.saw import (
     regularity_stats,
     saw_partition,
     saw_tail_bound,
-    _sum_paths,
+    _at_beta,
+    _bridge_sums,
+    _free_end_counts,
+    _regularity_counts,
 )
 
 
@@ -98,10 +103,10 @@ def test_wall_reduces_partition():
 
 
 ENSEMBLES = [
-    lambda beta, cap: saw_partition(2, beta, cap),
-    lambda beta, cap: grand_canonical(2, beta, cap),
-    lambda beta, cap: regularity_stats(3, beta, cap),
-    lambda beta, cap: minimal_horizontal_identity(2, beta, cap=cap),
+    lambda beta, cap, L=2: saw_partition(L, beta, cap),
+    lambda beta, cap, L=2: grand_canonical(L, beta, cap),
+    lambda beta, cap, L=3: regularity_stats(L, beta, cap),
+    lambda beta, cap, L=2: minimal_horizontal_identity(L, beta, cap=cap),
 ]
 ENSEMBLE_IDS = ["saw_partition", "grand_canonical", "regularity_stats",
                 "identity"]
@@ -113,6 +118,12 @@ def test_beta_floor_refusal():
     for ensemble in ENSEMBLES:
         with pytest.raises(RefusalError):
             ensemble(BETA_MIN - 0.01, 2)
+    # e^{-beta (L-1)} below the smallest normal float: refused, not a 0.0
+    # partition sum or a division by zero
+    for ensemble in ENSEMBLES:
+        with pytest.raises(RefusalError, match="normal float range"):
+            ensemble(3.0, 2, L=300)
+    assert saw_partition(237, 3.0, 0).partial_sum > 0.0  # 3 * 236 = 708
     assert BETA_MIN == pytest.approx(math.log(3) + 0.5)
 
 
@@ -319,7 +330,115 @@ def test_permutation_sum_bound_and_refusal():
 
 
 def test_sum_paths_matches_enumerate_stream():
-    got = _sum_paths(3, 3.1, 3)
+    got = _at_beta(_bridge_sums(3, 3, "none", None, None, 0.0), 3, 3.1)
     want = sum(math.exp(-3.1 * p.length)
                for p in enumerate_saw((0.5, 0), (2.5, 0), 3))
     assert got == pytest.approx(want, rel=1e-13)
+
+
+# --- per-length sums: one enumeration per path set, evaluated per beta ---
+
+
+def _by_length(paths, L, cap):
+    counts = [0] * (cap + 1)
+    for p in paths:
+        counts[p.length - (L - 1)] += 1
+    return counts
+
+
+def _exact(sums):
+    assert all(isinstance(s, int) or s.is_integer() for s in sums), sums
+    return [int(s) for s in sums]
+
+
+@pytest.mark.parametrize("L,cap", [(2, 6), (3, 5), (4, 4)])
+def test_bridge_sums_are_counts_by_length(L, cap):
+    def bridges(keep):
+        return _by_length((p for p in enumerate_saw((0.5, 0), (L - 0.5, 0), cap)
+                           if keep(p)), L, cap)
+
+    assert _exact(_bridge_sums(L, cap, "none", None, None, 0.0)) == \
+        bridges(lambda p: True)
+    assert _exact(_bridge_sums(L, cap, "wall", None, None, 0.0)) == \
+        bridges(lambda p: all(y >= 0 for _, y in p.vertices))
+    for level in (1, -1):
+        assert _exact(_bridge_sums(L, cap, "avoid", level, None, 0.0)) == \
+            bridges(lambda p: all(y != level for _, y in p.vertices[1:-1]))
+
+
+@pytest.mark.parametrize("L,cap", [(2, 5), (3, 4), (4, 4)])
+def test_free_end_counts_by_length(L, cap):
+    want = [0] * (cap + 1)
+    for y in range(-cap, cap + 1):
+        for p in enumerate_saw((0.5, 0), (L - 0.5, y), cap - abs(y)):
+            want[p.length - (L - 1)] += 1
+    assert _exact(_free_end_counts(L, cap)) == want
+
+
+@pytest.mark.parametrize("L,cap", [(2, 6), (3, 4), (5, 4)])
+def test_regularity_counts_by_length(L, cap):
+    us = tuple(range(L + 1))
+    total, fv = [0] * (cap + 1), [0] * (cap + 1)
+    nr = {u: [0] * (cap + 1) for u in us}
+    ext: dict[tuple[int, int], int] = {}
+    for p in enumerate_saw((0.5, 0), (L - 0.5, 0), cap):
+        i = p.length - (L - 1)
+        total[i] += 1
+        for u in us:
+            nr[u][i] += not is_regular(p, u, L)
+        fv[i] += p.vertices[0][0] == p.vertices[1][0]
+        key = (i, contacts(p, 0, L)[2])
+        ext[key] = ext.get(key, 0) + 1
+    got_total, got_nr, got_fv, got_ext = _regularity_counts(L, cap, us)
+    assert list(got_total) == total and list(got_fv) == fv
+    assert [list(c) for c in got_nr] == [nr[u] for u in us]
+    assert {(i, k): c for i, row in enumerate(got_ext)
+            for k, c in enumerate(row) if c} == ext
+
+
+# beta * n is exact in binary for these beta, so the only roundings left are
+# exp, one product per length and the final sum
+@pytest.mark.parametrize("beta", [2.5, 3.0, 3.25])
+@pytest.mark.parametrize("ensemble, L, cap", [
+    (saw_partition, 4, 8), (grand_canonical, 4, 10), (regularity_stats, 5, 6),
+    (saw_partition, 2, 10),
+])
+def test_factor_free_values_match_decimal(ensemble, L, cap, beta):
+    if ensemble is grand_canonical:
+        counts = _free_end_counts(L, cap)
+    elif ensemble is saw_partition:
+        counts = _bridge_sums(L, cap, "none", None, None, 0.0)
+    else:
+        counts = _regularity_counts(L, cap, (0, L // 2, L))[0]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        want = sum(int(c) * (-Decimal(beta) * (L - 1 + i)).exp()
+                   for i, c in enumerate(counts))
+    got = ensemble(L, beta, cap).partial_sum
+    assert abs(Decimal(got) - want) <= Decimal("1e-15") * want
+
+
+def test_one_search_per_path_set_across_betas(monkeypatch):
+    searches = []
+
+    class Counting(saw._Search):
+        def __init__(self, *args, **kwargs):
+            searches.append(args)
+            super().__init__(*args, **kwargs)
+
+    cached = (_bridge_sums, _free_end_counts, _regularity_counts)
+    for fn in cached:
+        fn.cache_clear()
+    monkeypatch.setattr(saw, "_Search", Counting)
+    pot = make_family("list", values=[0.2, 0.1])
+    try:
+        for beta in (2.5, 3.0):
+            saw_partition(4, beta, 4)
+            saw_partition(4, beta, 4, constraint="wall", pot=pot)
+            grand_canonical(4, beta, 4)
+            st_ = regularity_stats(4, beta, 4)
+            assert st_.partial_sum == saw_partition(4, beta, 4).partial_sum
+        assert len(searches) == 4
+    finally:
+        for fn in cached:
+            fn.cache_clear()

@@ -250,3 +250,48 @@ def test_inertia_shortcut_keeps_every_verdict(monkeypatch, kernel, pots,
         assert (row.scale, row.threshold, row.passed) == (8192, 0.0, False)
         assert row.measured > 0.0
         assert all(e.check == "sine_quotient" for e in cert.evidence[:-1])
+
+
+def _full_d_grid(pot):
+    """The sine grid with windows 2j and 2j + 2 for every support level."""
+    grid = {0, 1, 2, 3}
+    d = 4
+    while d <= max(4 * (pot.j_max + 1), 64):
+        grid.add(d)
+        d *= 2
+    for j in pot.support:
+        grid.update((2 * j, 2 * j + 2))
+    return sorted(grid)
+
+
+def test_sine_grid_stays_bounded_on_long_tails():
+    pot = make_family("power", delta=1.0, amplitude=0.01)
+    assert len(pot.support) > 10_000
+    grid = spectral._default_d_grid(pot)
+    # dyadic windows up to 4 (j_max + 1) plus two per rewarded level kept
+    assert len(grid) <= 5 + math.log2(4 * (pot.j_max + 1)) + 2 * 64
+    assert max(grid) <= 4 * (pot.j_max + 1)
+    # a support of at most 64 levels keeps every per-level window
+    for short in (make_family("power", delta=4.0, amplitude=0.2),
+                  make_family("exp", delta=1.0, amplitude=0.2),
+                  make_family("list", values=[0.1] * 64)):
+        assert len(short.support) <= 64
+        assert spectral._default_d_grid(short) == _full_d_grid(short)
+
+
+@pytest.mark.parametrize("kernel, family, delta, amp", [
+    (K1, "power", 1.5, 0.05),   # localized by power iteration
+    (K1, "power", 2.0, 0.2),    # localized by a sine window
+    (K5, "power", 2.0, 0.2),    # undetermined
+    (make_sos(2.5), "power", 1.5, 0.2),
+    (make_sos(2.5), "power", 2.0, 0.05),
+], ids=["binomial0.1-power1.5-0.05", "binomial0.1-power2-0.2",
+        "binomial0.5-power2-0.2", "sos2.5-power1.5-0.2", "sos2.5-power2-0.05"])
+def test_bounded_sine_grid_keeps_the_verdict(monkeypatch, kernel, family,
+                                             delta, amp):
+    pot = make_family(family, delta=delta, amplitude=amp)
+    assert len(pot.support) > 64
+    bounded = localization_certificate(kernel, pot)
+    monkeypatch.setattr(spectral, "_default_d_grid", _full_d_grid)
+    full = localization_certificate(kernel, pot)
+    assert (bounded.verdict, bounded.spectral) == (full.verdict, full.spectral)
