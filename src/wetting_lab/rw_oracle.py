@@ -6,7 +6,12 @@ lengths by explicitly enumerating all bridges.  Two accumulators:
   * ``float``: each partial path is one row of a numpy array (the expansion
     is literal enumeration, vectorised); products of dyadic probabilities are
     exact in binary floating point and pairwise summation keeps the rest at
-    ~1e-15 relative;
+    ~1e-15 relative.  There is one expansion per (kernel, wall, potential),
+    and every length is read from it: Z_t sums the rows at height 0 after t
+    steps, which are exactly, and in the same order, the rows a length-t
+    expansion would keep, so each value is bit-for-bit the per-length one.
+    The Z values (never the rows) of the longest expansion so far are kept
+    for the process;
   * ``fraction``: recursive depth-first enumeration with exact rationals,
     grouping paths by their contact signature so pinning weights multiply a
     single exact rational per signature.
@@ -54,37 +59,76 @@ def _pot_factor_table(pot: PinningPotential | None, span: int) -> np.ndarray | N
     return table
 
 
-def _enumerate_float(kernel: WalkKernel, L: int, wall: int | None,
-                     pot: PinningPotential | None,
-                     count_level: int | None = None):
-    """Expand every bridge; returns (weights, counts) row-per-path arrays."""
-    offs = np.array(kernel.offsets, dtype=np.int64)
+def _bridge_rows(kernel: WalkKernel, L_max: int, wall: int | None,
+                 pot: PinningPotential | None,
+                 count_level: int | None = None):
+    """Expand every path once up to L_max and yield, for t = 1..L_max, the
+    (weights, counts) row-per-path arrays of the length-t bridges.
+
+    A length-t bridge passes every prune of the length-L_max expansion, so
+    the rows with height 0 at step t are exactly the rows a length-t
+    expansion keeps, in the same (lexicographic) order and with the same
+    products.  They are read before the step-t reward, which belongs to
+    interior visits only.  The last step is not expanded: a row returns to 0
+    only through the offset -h, so those rows are gathered and weighted
+    directly, a zero-probability offset keeping a 0.0 row.
+    """
+    m = kernel.max_step
+    dt = np.min_scalar_type(-2 * L_max * m)  # narrowest type for the heights
+    offs = np.array(kernel.offsets, dtype=dt)
     pv = np.array(kernel.probs)
-    span = L * kernel.max_step
+    back = np.full(2 * m + 1, -1)  # offset index by -height + m
+    back[m - offs] = np.arange(offs.size)
+    span = L_max * m
     factor = _pot_factor_table(pot, span)
-    h = np.zeros(1, dtype=np.int64)
+    h = np.zeros(1, dtype=dt)
     w = np.ones(1)
     c = np.zeros(1, dtype=np.int64) if count_level is not None else None
-    for t in range(L):
+    for t in range(L_max):
         if t >= 1:
+            at0 = h == 0
+            yield w[at0], None if c is None else c[at0]
             if factor is not None:
                 w = w * factor[h + span]
             if c is not None:
                 c = c + (h == count_level)
         if h.size * offs.size > _ROW_CAP:
             raise RefusalError("oracle row cap exceeded")
+        if t == L_max - 1:
+            break
         h = (h[:, None] + offs[None, :]).reshape(-1)
         w = (w[:, None] * pv[None, :]).reshape(-1)
         if c is not None:
             c = np.repeat(c, offs.size)
-        rem = L - t - 1
-        keep = np.abs(h) <= rem * kernel.max_step
+        keep = np.abs(h) <= (L_max - t - 1) * m
         if wall is not None:
             keep &= h >= -wall
         h, w = h[keep], w[keep]
         if c is not None:
             c = c[keep]
-    return w, c
+    k = back[m - h]  # |h| <= m after the last prune
+    ret = k >= 0
+    yield w[ret] * pv[k[ret]], None if c is None else c[ret]
+
+
+# Z_t for t = 0..L of the longest float expansion made so far per (kernel,
+# wall, potential): values only, never rows, for at most _PROFILE_KEYS keys
+_PROFILE_KEYS = 64
+_profiles: dict[tuple, tuple[float, ...]] = {}
+
+
+def _float_profile(kernel: WalkKernel, L: int, wall: int | None,
+                   pot: PinningPotential | None) -> tuple[float, ...]:
+    key = (kernel, wall, pot)
+    z = _profiles.get(key)
+    if z is None or len(z) <= L:
+        z = (1.0,) + tuple(float(w.sum())
+                           for w, _ in _bridge_rows(kernel, L, wall, pot))
+        _profiles.pop(key, None)
+        if len(_profiles) >= _PROFILE_KEYS:
+            _profiles.pop(next(iter(_profiles)), None)
+        _profiles[key] = z
+    return z
 
 
 def _enumerate_fraction(kernel: WalkKernel, L: int, wall: int | None,
@@ -148,8 +192,7 @@ def oracle_partition(
     if mode == "auto":
         mode = "fraction" if (is_dyadic(kernel) and L <= 12) else "float"
     if mode == "float":
-        w, _ = _enumerate_float(kernel, L, wall, pot)
-        return float(w.sum())
+        return _float_profile(kernel, L, wall, pot)[L]
     if mode == "fraction":
         acc, support = _enumerate_fraction(kernel, L, wall, pot)
         if pot is None or not support:
@@ -174,18 +217,8 @@ def oracle_path_count(kernel: WalkKernel, L: int, wall: int | None = None) -> in
     """Number of admissible bridges (Motzkin numbers for the walled
     nearest-neighbour walk)."""
     _check_cap(kernel, L)
-    offs = np.array(kernel.offsets, dtype=np.int64)
-    h = np.zeros(1, dtype=np.int64)
-    count = np.ones(1, dtype=np.int64)
-    for t in range(L):
-        h = (h[:, None] + offs[None, :]).reshape(-1)
-        count = np.repeat(count, offs.size)
-        rem = L - t - 1
-        keep = np.abs(h) <= rem * kernel.max_step
-        if wall is not None:
-            keep &= h >= -wall
-        h, count = h[keep], count[keep]
-    return int(count.sum())
+    *_, (w, _) = _bridge_rows(kernel, L, wall, None)
+    return w.size
 
 
 def oracle_contact_distribution(
@@ -213,7 +246,7 @@ def oracle_contact_distribution(
             n = sig[0] if support else 0
             out[n] = out.get(n, Fraction(0)) + frac
         return {n: float(v / total) for n, v in sorted(out.items())}
-    w, c = _enumerate_float(kernel, L, wall, None, count_level=j)
+    *_, (w, c) = _bridge_rows(kernel, L, wall, None, count_level=j)
     total = float(w.sum())
     pmf: dict[int, float] = {}
     for n in np.unique(c):
@@ -224,14 +257,12 @@ def oracle_contact_distribution(
 def clt_band(kernel: WalkKernel, L_list: list[int]) -> list[tuple[int, float]]:
     """(L, sqrt(sigma2 L) * Z_L) rows: small L by enumeration, the rest from
     one transfer sweep (the two agree on the overlap to 1e-12)."""
-    out = []
     cap = max_enumerable_L(kernel)
     big = [L for L in L_list if L > cap]
     prof = partition_profile(kernel, max(big)) if big else None
-    for L in sorted(set(L_list)):
-        if L <= cap:
-            z = oracle_partition(kernel, L, mode="float")
-        else:
-            z = math.exp(float(prof[L]))
-        out.append((L, math.sqrt(kernel.sigma2 * L) * z))
-    return out
+    # largest first, so one expansion serves every enumerable length
+    z = {L: oracle_partition(kernel, L, mode="float")
+         for L in sorted({L for L in L_list if L <= cap}, reverse=True)}
+    return [(L, math.sqrt(kernel.sigma2 * L)
+             * (z[L] if L <= cap else math.exp(float(prof[L]))))
+            for L in sorted(set(L_list))]

@@ -549,10 +549,14 @@ class IdentityReport:
     lhs: TruncatedEnsemble     # path-side enumeration with certificate
     rhs: float                 # e^{-beta(L-1)} Z_beta^L Z_{0,L} via kernels+transfer
     rhs_err: float
+    rel_target: float          # certificate width the cap had to meet
 
     @property
     def agrees(self) -> bool:
-        return (self.lhs.lower - self.rhs_err <= self.rhs
+        """The certificate met ``rel_target`` and its interval holds rhs; a
+        wider interval would agree with almost anything."""
+        return (self.relative_width <= self.rel_target
+                and self.lhs.lower - self.rhs_err <= self.rhs
                 <= self.lhs.upper + self.rhs_err)
 
     @property
@@ -568,7 +572,9 @@ def minimal_horizontal_identity(L: int, beta: float,
     Left side: exact enumeration of minimal-horizontal paths grouped by
     excess vertical length, truncated with a composition-count certificate.
     Right side: the closed-form reduction to the geometric-walk bridge,
-    evaluated through the kernel and transfer modules.
+    evaluated through the kernel and transfer modules.  Without ``cap`` the
+    cap grows until the certificate's relative width meets ``rel_target``;
+    ``agrees`` is false when the cap used did not meet it.
     """
     _check_span(L, beta, 0 if cap is None else cap)
     scale = math.exp(-beta * (L - 1))
@@ -584,7 +590,8 @@ def minimal_horizontal_identity(L: int, beta: float,
     log_z = log_partition(kernel, L)
     rhs = math.exp(-beta * (L - 1) + L * math.log(sos_normalizer(beta)) + log_z)
     rhs_err = rhs * (2.0 * L * kernel.truncation_defect + 1e-13)
-    return IdentityReport(L=L, beta=beta, lhs=lhs, rhs=rhs, rhs_err=rhs_err)
+    return IdentityReport(L=L, beta=beta, lhs=lhs, rhs=rhs, rhs_err=rhs_err,
+                          rel_target=rel_target)
 
 
 # ---------------------------------------------------------------------------

@@ -190,17 +190,11 @@ class SineBound:
     """Exact Rayleigh quotient of the sine profile on [0, d].
 
     ``quotient`` > 1 certifies a positive growth rate of at least
-    log(quotient).  ``chain_bound`` is the looser closed-form estimate from
-    the same profile (linear Dirichlet-form bound and the e^{-x} <= 1 - x/4
-    denominator trick); it needs all rewards <= log 2 and is reported as a
-    diagnostic only.
+    log(quotient).
     """
 
     d: int
     quotient: float
-    chain_bound: float
-    normalizer: float       # sum s(i)^2 e^{-eps_i}
-    eps_within_log2: bool
 
 
 def sine_profile_bound(kernel: WalkKernel, pot: PinningPotential,
@@ -214,22 +208,7 @@ def sine_profile_bound(kernel: WalkKernel, pot: PinningPotential,
     eps = pot.eps_array(n)
     ps = _apply_stencil(s, kernel.prob_array(), kernel.max_step)
     norm = float((s * s) @ np.exp(-eps))
-    quotient = float(s @ ps) / norm
-    # closed-form variant: pi^2 sigma^2 / (2 (d+1)) numerator deficit,
-    # (1/4) (d+1)^-2 sum_{i<=d/2} (i+1)^2 eps_i denominator credit
-    half = d // 2
-    credit = float(((i[: half + 1] + 1.0) ** 2) @ eps[: half + 1])
-    s2 = float(s @ s)
-    chain_num = s2 - 0.5 * math.pi ** 2 * kernel.sigma2 / (d + 1)
-    chain_den = s2 - 0.25 * credit / (d + 1) ** 2
-    chain = chain_num / chain_den if chain_den > 0 else math.inf
-    return SineBound(
-        d=d,
-        quotient=quotient,
-        chain_bound=chain,
-        normalizer=norm,
-        eps_within_log2=not pot.exceeds_log2,
-    )
+    return SineBound(d=d, quotient=float(s @ ps) / norm)
 
 
 def _default_d_grid(pot: PinningPotential) -> list[int]:

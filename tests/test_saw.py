@@ -236,6 +236,16 @@ def test_minimal_horizontal_identity_small():
     assert rep.agrees
 
 
+def test_identity_agrees_only_when_the_cap_meets_the_target():
+    # the interval still holds rhs, but a cap that misses rel_target is no
+    # agreement; relative_width reports how far it missed
+    rep = minimal_horizontal_identity(2, 3.0, rel_target=1e-30, cap=4)
+    assert rep.lhs.lower - rep.rhs_err <= rep.rhs <= rep.lhs.upper + rep.rhs_err
+    assert rep.relative_width > 1e-30
+    assert rep.agrees is False
+    assert minimal_horizontal_identity(2, 3.0, cap=8).agrees
+
+
 def test_minimal_horizontal_runs_match_dfs():
     # the run-profile evaluation is literally the set of minimal-horizontal
     # paths; cross-check against the generic DFS restricted by edge count

@@ -171,15 +171,6 @@ def test_certificate_appears_when_amplitude_swept_up():
         assert found is not None and found <= 30
 
 
-def test_chain_bound_is_no_sharper_than_quotient():
-    # the closed-form chain value is a diagnostic; where valid (rewards
-    # below log 2) it should not beat the exact quotient by any margin
-    pot = make_family("single", j=1, amplitude=0.3)
-    sb = sine_profile_bound(K1, pot, 6)
-    assert sb.eps_within_log2
-    assert sb.chain_bound <= sb.quotient + 1e-9
-
-
 _PIVOT_POTS = (
     lambda a: make_family("single", j=0, amplitude=a),
     lambda a: make_family("single", j=3, amplitude=a),
