@@ -7,6 +7,7 @@ table; feed the CSV to any plotting tool.
 """
 
 import argparse
+import csv
 
 from wetting_lab.certify import SCAN_COLUMNS, ScanPoint, phase_scan
 
@@ -32,11 +33,11 @@ def main() -> int:
                 amplitude=amp,
             ))
     rows = phase_scan(points, L_max=args.L_max, workers=args.workers)
-    with open(args.out, "w") as fh:
-        fh.write(",".join(SCAN_COLUMNS + ("error",)) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in SCAN_COLUMNS + ("error",)))
-            fh.write("\n")
+    columns = SCAN_COLUMNS + ("error",)
+    with open(args.out, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(columns)
+        w.writerows([row[c] for c in columns] for row in rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -5,14 +5,18 @@ the x coordinate is doubled so every vertex is an integer pair (u, y) with u
 odd.  A path is a vertex-distinct chain of unit edges; its Boltzmann weight
 is exp(-beta * length).
 
-Everything here is enumerated by one depth-first search (``_Search``) up to
-a length budget (minimal length + excess cap).  It runs on a flat grid, cell
-(col, y) at index (col - c0) * H + (y - y0), so the steps E, N, W, S are the
-offsets +H, +1, -H, -1.  Per-cell lists built once per call hold the
+Every ensemble here is enumerated by one depth-first search (``_Search``) up
+to a length budget (minimal length + excess cap).  It runs on a flat grid,
+cell (col, y) at index (col - c0) * H + (y - y0), so the steps E, N, W, S are
+the offsets +H, +1, -H, -1.  Per-cell lists built once per call hold the
 distance still to go (closed for padding, blocked and occupied cells), the
 arrival factor and a mark; per step the search keeps the product of arrival
 factors, the marked count and each line's horizontal crossings, so
 statistics are read off at each arrival without rebuilding the path.
+
+The minimal-horizontal identity needs no search: its paths are one signed
+vertical run per column, so their counts by excess length have a closed
+form (``_excess_counts``) and their tail a Rankin bound.
 
 The length weight stays out of the search: every ensemble sum is a power
 series in e^{-beta} whose coefficients, the sums S[n] over paths of length
@@ -490,54 +494,43 @@ def regularity_stats(L: int, beta: float, excess_cap: int,
 # ---------------------------------------------------------------------------
 
 
-def _run_profile_counts(L: int, cap: int) -> dict[int, int]:
-    """Exact count of minimal-horizontal paths by excess length.
+def _excess_counts(L: int, top: int) -> list[int]:
+    """Exact count N_v of minimal-horizontal span-L paths with excess v, for
+    v = 0 ... top.
 
     Such paths are signed vertical runs d_0..d_{L-1} (one per column, any
     sign, self-avoidance automatic) with sum d_i = 0; excess = sum |d_i|.
-    Dynamic program over (height, used budget) with integer counts.
-    """
-    states = {(0, 0): 1}
-    for _ in range(L):
-        new: dict[tuple[int, int], int] = {}
-        for (s, u), cnt in states.items():
-            room = cap - u
-            for d in range(-room, room + 1):
-                s2, u2 = s + d, u + abs(d)
-                if abs(s2) > cap - u2:  # can no longer return to height 0
-                    continue
-                key = (s2, u2)
-                new[key] = new.get(key, 0) + cnt
-        states = new
-    out: dict[int, int] = {}
-    for (s, u), cnt in states.items():
-        if s == 0:
-            out[u] = out.get(u, 0) + cnt
-    return out
+    For v = 2s > 0, a runs go up and add to s and b runs go down and add to
+    -s: choose their columns, then compose s into a and into b positive
+    parts."""
+    counts = [1] + [0] * top
+    for s in range(1, top // 2 + 1):
+        counts[2 * s] = sum(
+            math.comb(L, a) * math.comb(L - a, b)
+            * math.comb(s - 1, a - 1) * math.comb(s - 1, b - 1)
+            for a in range(1, min(s, L) + 1)
+            for b in range(1, min(s, L - a) + 1))
+    return counts
 
 
 def _runs_tail_bound(L: int, cap: int, beta: float) -> float:
     """Absolute bound on the weight of minimal-horizontal paths with excess
-    v > cap: counts are at most the signed compositions 2^L * C(v+L-1, L-1),
-    each path weighing e^{-beta (L-1+v)}; the crude all-paths bound is used
-    when it is smaller."""
-    x = math.exp(-beta)
-    v = cap + 1
-    term = (2.0 ** L) * math.comb(v + L - 1, L - 1) * x ** v
-    total = 0.0
-    while True:
-        ratio = x * (v + L) / (v + 1)
-        if ratio < 1.0:
-            total += term / (1.0 - ratio)
-            break
-        total += term
-        v += 1
-        term = (2.0 ** L) * math.comb(v + L - 1, L - 1) * x ** v
-        if term == 0.0:
-            break
-    total *= math.exp(-beta * (L - 1))
-    generic = saw_tail_bound(L - 1 + cap + 1, beta)
-    return min(total, generic)
+    v > cap, by Rankin's method.  N_v vanishes for odd v, so with
+    x = e^{-beta}, c the least even excess above cap and any y in (x, 1):
+    sum_{v>cap} N_v x^v <= (x/y)^c sum_v N_v y^v, and that sum is the
+    constant term of G(z)^L, G(z) = sum_d y^{|d|} z^d, so at most
+    G(1)^L = ((1+y)/(1-y))^L.  The y used minimises the bound; a rounded y
+    is still in (x, 1), so the bound still holds.  Each path also weighs
+    e^{-beta (L-1)}; the crude all-paths bound is used when it is smaller
+    or when y <= x."""
+    x, c = math.exp(-beta), cap // 2 * 2 + 2
+    generic = saw_tail_bound(L - 1 + c, beta)
+    y = (math.hypot(L, c) - L) / c
+    if y <= x:
+        return generic
+    rankin = ((x / y) ** c * ((1 + y) / (1 - y)) ** L
+              * math.exp(-beta * (L - 1)))
+    return min(rankin, generic)
 
 
 @dataclass(frozen=True)
@@ -569,23 +562,25 @@ def minimal_horizontal_identity(L: int, beta: float,
                                 cap: int | None = None) -> IdentityReport:
     """Compare the minimal-horizontal path sum against the walk formula.
 
-    Left side: exact enumeration of minimal-horizontal paths grouped by
-    excess vertical length, truncated with a composition-count certificate.
+    Left side: exact closed-form counts of minimal-horizontal paths grouped
+    by excess vertical length, truncated with a Rankin tail certificate.
     Right side: the closed-form reduction to the geometric-walk bridge,
     evaluated through the kernel and transfer modules.  Without ``cap`` the
     cap grows until the certificate's relative width meets ``rel_target``;
     ``agrees`` is false when the cap used did not meet it.
     """
     _check_span(L, beta, 0 if cap is None else cap)
+    caps = range(4, 64, 2) if cap is None else (cap,)
+    counts = _excess_counts(L, caps[-1])
+    # e^{-beta (L-1)} may be near the float floor: keep it out of the terms
     scale = math.exp(-beta * (L - 1))
-    for cap in range(4, 64, 2) if cap is None else (cap,):
-        counts = _run_profile_counts(L, cap)
-        part = sum(c * math.exp(-beta * v) for v, c in counts.items())
+    for cap in caps:
+        part = scale * _at_beta(counts[:cap + 1], 1, beta)
         tail = _runs_tail_bound(L, cap, beta)
-        if tail / (scale * part) <= rel_target:
+        if tail / part <= rel_target:
             break
     lhs = TruncatedEnsemble(L=L, beta=beta, excess_cap=cap,
-                            partial_sum=scale * part, tail_cert=tail)
+                            partial_sum=part, tail_cert=tail)
     kernel = make_sos(beta, tail_tol=1e-15)
     log_z = log_partition(kernel, L)
     rhs = math.exp(-beta * (L - 1) + L * math.log(sos_normalizer(beta)) + log_z)

@@ -74,24 +74,14 @@ def _make_window(kernel: WalkKernel, L: int, wall: int | None,
     return _Window(base=-spread, n=n, start=spread, end=spread, walled=False)
 
 
-def _diag_for(window: _Window, pot: PinningPotential | None,
-              extra: dict[int, float] | None) -> np.ndarray | None:
-    eps = np.zeros(window.n)
-    have = False
-    if pot is not None:
-        idx0 = -window.base  # state of absolute height 0
-        hi = min(window.n - idx0, pot.j_max + 1)
-        if hi > 0:
-            eps[idx0: idx0 + hi] += pot.eps_array(hi)
-            have = True
-    if extra:
-        for h, e in extra.items():
-            s = h - window.base
-            if 0 <= s < window.n:
-                eps[s] += e
-                have = True
-    if not have:
+def _diag_for(window: _Window,
+              pot: PinningPotential | None) -> np.ndarray | None:
+    idx0 = -window.base  # state of absolute height 0
+    hi = 0 if pot is None else min(window.n - idx0, pot.j_max + 1)
+    if hi <= 0:
         return None
+    eps = np.zeros(window.n)
+    eps[idx0: idx0 + hi] = pot.eps_array(hi)
     if eps.max() > _EPS_MAX:
         raise ParameterError(
             f"pinning reward {eps.max():.6g} is beyond the float range of the "
@@ -161,7 +151,6 @@ def partition_profile(
     *,
     wall: int | None = None,
     pot: PinningPotential | None = None,
-    extra_eps: dict[int, float] | None = None,
 ) -> np.ndarray:
     """log Z for every length 1..L_max in one pass (entry 0 is unused -inf)."""
     if L_max < 1:
@@ -173,7 +162,7 @@ def partition_profile(
         window = _make_window(kernel, L_max, wall, pot, grow)
         if window.n > _STATE_CAP:
             break
-        diag = _diag_for(window, pot, extra_eps)
+        diag = _diag_for(window, pot)
         logz, defect = _sweep(kernel, L_max, window, diag, DEFECT_TOL)
         last = logz
         if not defect:
@@ -214,9 +203,9 @@ def zero_contact_moment(kernel: WalkKernel, L: int, b: float) -> float:
     if b == 0.0:
         return 1.0
     eps = b * kernel.sigma / math.sqrt(L)
-    num = float(partition_profile(kernel, L, wall=None,
-                                  extra_eps={0: eps})[L])
-    den = float(partition_profile(kernel, L, wall=None)[L])
+    pot = make_family("single", j=0, amplitude=eps)
+    num = log_partition(kernel, L, pot=pot)
+    den = log_partition(kernel, L)
     return math.exp(num - den)
 
 

@@ -145,6 +145,13 @@ def test_refusal_exit_code(tmp_path, capsys):
         assert err.startswith("refused:") and "Traceback" not in err
 
 
+def test_saw_verify_identity_at_span_200(tmp_path):
+    assert main(["saw-verify", "--L-list", "200", "--beta-list", "3",
+                 "--out-dir", str(tmp_path)]) == 0
+    row, = json.load(open(tmp_path / "saw_verify.json"))["identity"]
+    assert row["agrees"] and row["relative_width"] <= 1e-7
+
+
 def test_free_energy_outputs_and_determinism(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):

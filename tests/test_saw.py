@@ -23,8 +23,10 @@ from wetting_lab.saw import (
     saw_tail_bound,
     _at_beta,
     _bridge_sums,
+    _excess_counts,
     _free_end_counts,
     _regularity_counts,
+    _runs_tail_bound,
 )
 
 
@@ -247,7 +249,7 @@ def test_identity_agrees_only_when_the_cap_meets_the_target():
 
 
 def test_minimal_horizontal_runs_match_dfs():
-    # the run-profile evaluation is literally the set of minimal-horizontal
+    # the closed-form counts are literally the set of minimal-horizontal
     # paths; cross-check against the generic DFS restricted by edge count
     L, beta, cap = 3, 2.6, 4
     rep = minimal_horizontal_identity(L, beta, cap=cap)
@@ -257,6 +259,66 @@ def test_minimal_horizontal_runs_match_dfs():
         if n_horiz == L - 1:
             total += math.exp(-beta * p.length)
     assert rep.lhs.partial_sum == pytest.approx(total, rel=1e-12)
+
+
+def _run_profile_dp(L, cap):
+    """Reference: minimal-horizontal paths counted by excess with a dynamic
+    program over (height, used budget), one signed vertical run per column."""
+    states = {(0, 0): 1}
+    for _ in range(L):
+        new = {}
+        for (s, u), cnt in states.items():
+            room = cap - u
+            for d in range(-room, room + 1):
+                s2, u2 = s + d, u + abs(d)
+                if abs(s2) > cap - u2:  # can no longer return to height 0
+                    continue
+                new[(s2, u2)] = new.get((s2, u2), 0) + cnt
+        states = new
+    out = [0] * (cap + 1)
+    for (s, u), cnt in states.items():
+        if s == 0:
+            out[u] += cnt
+    return out
+
+
+def test_excess_counts_match_the_run_profile_dp():
+    for L in range(2, 13):
+        for cap in range(21):
+            assert _excess_counts(L, cap) == _run_profile_dp(L, cap)
+
+
+def test_runs_tail_bound_covers_the_exact_tail():
+    # exact tail from the closed-form counts up to excess V; each term past
+    # V is below 1e-150 of the largest one kept
+    V = 300
+    for L in (2, 3, 5, 8, 20, 50, 100, 200):
+        counts = _excess_counts(L, V)
+        for beta in (2.5, 3.0, 4.0):
+            x = math.exp(-beta)
+            for cap in range(63):
+                tail = math.exp(-beta * (L - 1)) * math.fsum(
+                    counts[v] * x ** v for v in range(cap + 1, V + 1))
+                # past the span limit (L=200, beta=4) the tail underflows
+                assert tail > 0 or beta * (L - 1) > 708
+                assert _runs_tail_bound(L, cap, beta) >= tail
+
+
+def test_identity_at_span_200():
+    rep = minimal_horizontal_identity(200, 3.0)
+    assert rep.agrees and rep.relative_width <= 1e-7
+    # a certificate wider than asked for is reported, not passed
+    rep = minimal_horizontal_identity(200, 2.5)
+    assert rep.relative_width > rep.rel_target and not rep.agrees
+
+
+def test_identity_interval_holds_near_the_span_limit():
+    # beta (L-1) = 705 is just inside the float range: the shortest path
+    # weighs about 1e-306 while the sum is dominated by excess near 20
+    for L, beta in ((200, 3.0), (236, 3.0)):
+        rep = minimal_horizontal_identity(L, beta, cap=62)
+        assert (rep.lhs.lower - rep.rhs_err <= rep.rhs
+                <= rep.lhs.upper + rep.rhs_err)
 
 
 def test_first_edge_vertical_is_rare_at_low_temperature():

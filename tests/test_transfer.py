@@ -84,7 +84,7 @@ def test_full_matrix_symmetry():
         for j in range(n):
             window = _Window(base=0, n=n, start=i, end=j, walled=True)
             # the window is deliberately tight: weights, not the flag, matter
-            logz, _ = _sweep(K5, L, window, _diag_for(window, pot, None),
+            logz, _ = _sweep(K5, L, window, _diag_for(window, pot),
                              math.inf)
             W[i, j] = math.exp(logz[L])
     np.testing.assert_allclose(W, W.T, rtol=1e-12, atol=1e-300)
@@ -109,7 +109,7 @@ def test_fixed_point_exit_matches_every_step(kspec, pspec, localized):
             repeats.append(t)
         last[0] = v
 
-    ref, defect = _sweep(kernel, L, window, _diag_for(window, pot, None),
+    ref, defect = _sweep(kernel, L, window, _diag_for(window, pot),
                          DEFECT_TOL, on_step)
     assert not defect
     assert np.array_equal(partition_profile(kernel, L, wall=0, pot=pot), ref)
