@@ -494,23 +494,26 @@ def regularity_stats(L: int, beta: float, excess_cap: int,
 # ---------------------------------------------------------------------------
 
 
-def _excess_counts(L: int, top: int) -> list[int]:
-    """Exact count N_v of minimal-horizontal span-L paths with excess v, for
-    v = 0 ... top.
+def _excess_count(L: int, v: int) -> int:
+    """Exact count N_v of minimal-horizontal span-L paths with excess v.
 
     Such paths are signed vertical runs d_0..d_{L-1} (one per column, any
     sign, self-avoidance automatic) with sum d_i = 0; excess = sum |d_i|.
     For v = 2s > 0, a runs go up and add to s and b runs go down and add to
     -s: choose their columns, then compose s into a and into b positive
     parts."""
-    counts = [1] + [0] * top
-    for s in range(1, top // 2 + 1):
-        counts[2 * s] = sum(
-            math.comb(L, a) * math.comb(L - a, b)
-            * math.comb(s - 1, a - 1) * math.comb(s - 1, b - 1)
-            for a in range(1, min(s, L) + 1)
-            for b in range(1, min(s, L - a) + 1))
-    return counts
+    if v == 0 or v % 2:
+        return int(v == 0)
+    s = v // 2
+    return sum(math.comb(L, a) * math.comb(L - a, b)
+               * math.comb(s - 1, a - 1) * math.comb(s - 1, b - 1)
+               for a in range(1, min(s, L) + 1)
+               for b in range(1, min(s, L - a) + 1))
+
+
+def _excess_counts(L: int, top: int) -> list[int]:
+    """N_0 ... N_top (see ``_excess_count``)."""
+    return [_excess_count(L, v) for v in range(top + 1)]
 
 
 def _runs_tail_bound(L: int, cap: int, beta: float) -> float:
@@ -570,12 +573,13 @@ def minimal_horizontal_identity(L: int, beta: float,
     ``agrees`` is false when the cap used did not meet it.
     """
     _check_span(L, beta, 0 if cap is None else cap)
-    caps = range(4, 64, 2) if cap is None else (cap,)
-    counts = _excess_counts(L, caps[-1])
+    caps = range(4, 128, 2) if cap is None else (cap,)
+    counts = []  # N_v, extended only as far as the caps reached need
     # e^{-beta (L-1)} may be near the float floor: keep it out of the terms
     scale = math.exp(-beta * (L - 1))
     for cap in caps:
-        part = scale * _at_beta(counts[:cap + 1], 1, beta)
+        counts += (_excess_count(L, v) for v in range(len(counts), cap + 1))
+        part = scale * _at_beta(counts, 1, beta)
         tail = _runs_tail_bound(L, cap, beta)
         if tail / part <= rel_target:
             break

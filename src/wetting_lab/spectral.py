@@ -12,7 +12,7 @@ discrete sine profile on a window [0, d].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,10 +25,14 @@ from .potentials import PinningPotential
 # norm ||Ax||^2 <= e^{2 max eps} stays finite; one unit of slack for rounding
 _EPS_MAX = 0.5 * math.log(np.finfo(float).max) - 1.0
 _LOG_QUOT_CAP = 709.0  # just below log(largest float), so exp stays finite
-_MAX_ITER = 20000  # power-iteration step budget
-# power-iteration fallback of localization_certificate: windows [0, 128],
-# [0, 256], ... up to 2^13, settled once the eigenvalue moves by <= 1e-8,
-# and localized when it exceeds 1 + 1e-8
+_MAX_ITER = 20000  # matvec budget of top_eigenvalue
+_KRYLOV = 64  # largest Lanczos basis: 64 rows of the window length
+_BREAKDOWN = 1e-14  # Lanczos step norm taken as an invariant Krylov space
+_PIVMIN = 1e-300  # smallest tridiagonal pivot magnitude, keeps 1/d finite
+# eigen-window fallback of localization_certificate: windows [0, 128],
+# [0, 256], ... up to 2^13, each solved by top_eigenvalue to a residual of
+# 1e-9 relative (_EIG_TOL), settled once the eigenvalue moves by <= 1e-8,
+# and localized when the Ritz vector's Rayleigh quotient exceeds 1 + 1e-8
 _EIG_H0 = 128
 _EIG_H_CAP = 1 << 13
 _EIG_TOL = 1e-9
@@ -99,34 +103,129 @@ class EigenEstimate:
     converged: bool
 
 
-def top_eigenvalue(op: PinnedOperator, tol: float = 1e-10) -> EigenEstimate:
-    """Power iteration with Rayleigh stopping.
+def _sturm_below(alpha: list[float], beta2: list[float], mu: float) -> int:
+    """Eigenvalues below ``mu`` of the symmetric tridiagonal matrix with
+    diagonal ``alpha`` and squared off-diagonal ``beta2`` (beta2[i] couples
+    rows i - 1 and i, beta2[0] = 0): the negative LDL^T pivots of T - mu I
+    (Sturm count, Golub-Van Loan 8.4)."""
+    below = 0
+    d = 1.0
+    for a, b2 in zip(alpha, beta2):
+        d = a - mu - b2 / d
+        if d == 0.0:
+            d = -_PIVMIN
+        below += d < 0.0
+    return below
 
-    The operator is nonnegative and positive semidefinite (p(0) >= 1/2), so a
-    positive start vector overlaps the top eigenvector.  ``value`` is the
-    last iterate's Rayleigh quotient, a lower bound on the top eigenvalue.
-    Iteration stops once it plateaus, which need not be at an eigenpair;
-    some eigenvalue lies within ``residual`` of ``value``, and
-    ``converged`` means residual <= tol * max(1, |value|).
+
+def _top_ritz(alpha: list[float], beta: list[float]) -> list[float]:
+    """Unit eigenvector of the largest eigenvalue of the tridiagonal matrix
+    T (diagonal ``alpha``, off-diagonal ``beta``): bisection on the Sturm
+    count down to rounding, then inverse iteration with mu I - T, which is
+    positive semidefinite for the mu found, so its LDL^T needs no pivoting."""
+    k = len(alpha)
+    beta2 = [0.0] + [b * b for b in beta]
+    radius = [abs(x) + abs(y) for x, y in zip([0.0] + beta, beta + [0.0])]
+    lo = min(a - r for a, r in zip(alpha, radius))
+    hi = max(a + r for a, r in zip(alpha, radius))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if _sturm_below(alpha, beta2, mid) == k:
+            hi = mid
+        else:
+            lo = mid
+    # hi I - T = L D L^T; a pivot lost to rounding becomes one ulp of hi
+    d = []
+    for a, b2 in zip(alpha, beta2):
+        d.append(max(hi - a - b2 / (d[-1] if d else 1.0),
+                     math.ulp(hi) + _PIVMIN))
+    lower = [-b / di for b, di in zip(beta, d)]
+    y = [1.0] * k
+    for _ in range(2):
+        for i in range(1, k):
+            y[i] -= lower[i - 1] * y[i - 1]
+        y = [yi / di for yi, di in zip(y, d)]
+        for i in range(k - 2, -1, -1):
+            y[i] -= lower[i] * y[i + 1]
+        norm = math.sqrt(math.fsum(yi * yi for yi in y))
+        y = [yi / norm for yi in y]
+    return y
+
+
+def _lanczos_cycle(op: PinnedOperator, basis: np.ndarray, x: np.ndarray,
+                   ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """One Lanczos run from the unit vector x (with ax = A x) over the rows
+    of ``basis``, fully reorthogonalised: (top Ritz vector, its image,
+    matvecs used).  That is len(basis) matvecs, fewer if the Krylov space
+    becomes invariant."""
+    alpha, beta = [], []
+    basis[0] = x
+    w = ax
+    for j in range(len(basis)):
+        if j:
+            w = op.matvec(basis[j])
+        alpha.append(float(basis[j] @ w))
+        if j + 1 == len(basis):
+            break
+        w = w - alpha[-1] * basis[j]
+        if j:
+            w -= beta[-1] * basis[j - 1]
+        q = basis[:j + 1]
+        w -= (q @ w) @ q
+        b = float(np.linalg.norm(w))
+        if b <= _BREAKDOWN:
+            break
+        beta.append(b)
+        basis[j + 1] = w / b
+    y = np.array(_top_ritz(alpha, beta))
+    x = y @ basis[:len(y)]
+    x /= np.linalg.norm(x)
+    return x, op.matvec(x), len(alpha)
+
+
+def top_eigenvalue(op: PinnedOperator, tol: float = 1e-10) -> EigenEstimate:
+    """Restarted Lanczos with Rayleigh stopping.
+
+    The operator is nonnegative and positive semidefinite (p(0) >= 1/2), so
+    a positive start vector overlaps the top eigenvector.  Each cycle builds
+    a Krylov basis of at most _KRYLOV vectors, fully reorthogonalised, and
+    restarts from its top Ritz vector.  Cycles run on A e^{-max eps}, whose
+    norm is at most 1, so no reward up to _EPS_MAX overflows.  They stop
+    once the Ritz vector's residual meets the tolerance, once its Ritz
+    value moves by at most that between cycles (which need not be at an
+    eigenpair), or at _MAX_ITER matvecs.  ``value`` is the Rayleigh
+    quotient of the last Ritz vector, recomputed with one matvec of A, so a
+    lower bound on the top eigenvalue; some eigenvalue lies within
+    ``residual`` of it, and ``converged`` means
+    residual <= tol * max(1, |value|).  ``iterations`` counts matvecs.
     """
     n = op.dim
-    w = np.full(n, 1.0 / math.sqrt(n))
-    aw = op.matvec(w)  # carried over, so each iteration costs one matvec
-    lam = 0.0
-    it = 0
-    while it < _MAX_ITER:
-        it += 1
-        nw = float(np.linalg.norm(aw))
-        if nw == 0.0:
-            return EigenEstimate(0.0, 0.0, it, True)
-        w = aw / nw
-        aw = op.matvec(w)
-        prev, lam = lam, float(w @ aw)
-        if it > 1 and abs(lam - prev) <= tol * max(1.0, abs(lam)):
+    top = float(op.exp_half.max())
+    unit = top * top  # e^{max eps}
+    scaled = replace(op, exp_half=op.exp_half / top)
+    basis = np.empty((min(_KRYLOV, n), n))
+    x = np.full(n, 1.0 / math.sqrt(n))
+    ax = scaled.matvec(x)
+    it = 1
+    prev = None
+    while True:
+        theta = float(x @ ax)
+        bound = tol * max(1.0, theta * unit) / unit
+        res = float(np.linalg.norm(ax - theta * x))
+        rows = min(len(basis), _MAX_ITER - 1 - it)  # one matvec kept for value
+        if (res <= bound or rows < 2  # a one-row cycle cannot move x
+                or (prev is not None and abs(theta - prev) <= bound)):
             break
-    ww = float(w @ w)
-    value = float(w @ aw) / ww
-    res = float(np.linalg.norm(aw - value * w)) / math.sqrt(ww)
+        prev = theta
+        x, ax, used = _lanczos_cycle(scaled, basis[:rows], x, ax)
+        it += used
+    ax = op.matvec(x)
+    it += 1
+    xx = float(x @ x)
+    value = float(x @ ax) / xx
+    res = float(np.linalg.norm(ax - value * x)) / math.sqrt(xx)
     return EigenEstimate(value=value, residual=res, iterations=it,
                          converged=res <= tol * max(1.0, abs(value)))
 
@@ -230,15 +329,18 @@ def _default_d_grid(pot: PinningPotential) -> list[int]:
 def localization_certificate(kernel: WalkKernel,
                              pot: PinningPotential) -> Certificate:
     """Try the indicator vector of a level with reward above log 2, then
-    sine-profile windows, then fall back to power iteration.
+    sine-profile windows, then fall back to the top Lanczos Ritz vector on
+    growing windows.
 
     The verdict is ``localized`` iff one of these vectors has a Rayleigh
-    quotient above 1 (above 1 + 1e-8 for the power iterate on a truncated
+    quotient above 1 (above 1 + 1e-8 for the Ritz vector on a truncated
     window).  Each lower-bounds the growth rate, rigorously up to floating
-    point.  Power iteration runs only when (1 + 1e-8) I - A is not positive
-    definite on the largest window [0, 2^13]; when it is, no power iterate
-    could pass and the answer is ``undetermined`` at once.  Anything else
-    is ``undetermined`` too -- never a delocalization claim.
+    point.  The eigen windows run only when (1 + 1e-8) I - A is not
+    positive definite on the largest window [0, 2^13]; when it is, no
+    Ritz vector could pass and the answer is ``undetermined`` at once.
+    Anything else is ``undetermined`` too -- never a delocalization claim.
+    The eigen-window route keeps its label ``power_iteration``, which
+    readers of certificates match on.
     """
     params = {
         "kernel": kernel.spec_string(),
@@ -295,13 +397,18 @@ def localization_certificate(kernel: WalkKernel,
 
     # every eigen window below is a leading block of the cap window, so a
     # positive definite (1 + margin) I - A there rules out all of them
-    pivot = _min_pivot(pinned_operator(kernel, pot, _EIG_H_CAP),
-                       1.0 + _EIG_MARGIN)
-    if pivot > 0.0:
+    shift = 1.0 + _EIG_MARGIN
+    if _min_pivot(pinned_operator(kernel, pot, _EIG_H_CAP), shift) > 0.0:
+        # the far rows give the free walk's bulk pivot whatever the rewards;
+        # the rows the potential touches lead the factorisation, so their
+        # smallest pivot is that of a leading block and moves with them
+        touched = min(pot.j_max + kernel.max_step, _EIG_H_CAP)
         evidence.append(Evidence(
-            scale=_EIG_H_CAP, check="inertia", measured=pivot,
+            scale=_EIG_H_CAP, check="inertia",
+            measured=_min_pivot(pinned_operator(kernel, pot, touched), shift),
             threshold=0.0, passed=False,
-            detail=f"smallest LDL^T pivot of (1 + {_EIG_MARGIN:g}) I - A",
+            detail=(f"smallest LDL^T pivot of (1 + {_EIG_MARGIN:g}) I - A "
+                    f"on the rows [0, {touched}] the potential touches"),
         ))
         return Certificate(
             verdict=UNDETERMINED,

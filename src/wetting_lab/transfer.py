@@ -40,7 +40,7 @@ DEFECT_TOL = 1e-12
 _STATE_CAP = 1 << 17
 _EPS_MAX = math.log(np.finfo(float).max)  # largest reward with finite e^eps
 _H_CAP = 1 << 13    # largest eigen window of free_energy
-_EIG_TOL = 1e-10    # power-iteration tolerance of free_energy
+_EIG_TOL = 1e-10    # Lanczos residual tolerance of free_energy
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,7 @@ def test_runs_tail_bound_covers_the_exact_tail():
         counts = _excess_counts(L, V)
         for beta in (2.5, 3.0, 4.0):
             x = math.exp(-beta)
-            for cap in range(63):
+            for cap in range(127):  # every cap the automatic range reaches
                 tail = math.exp(-beta * (L - 1)) * math.fsum(
                     counts[v] * x ** v for v in range(cap + 1, V + 1))
                 # past the span limit (L=200, beta=4) the tail underflows
@@ -305,10 +305,12 @@ def test_runs_tail_bound_covers_the_exact_tail():
 
 
 def test_identity_at_span_200():
-    rep = minimal_horizontal_identity(200, 3.0)
-    assert rep.agrees and rep.relative_width <= 1e-7
+    # beta=2.5 needs a cap above 62: the automatic caps reach 126
+    for beta in (2.5, 3.0):
+        rep = minimal_horizontal_identity(200, beta)
+        assert rep.agrees and rep.relative_width <= 1e-7
     # a certificate wider than asked for is reported, not passed
-    rep = minimal_horizontal_identity(200, 2.5)
+    rep = minimal_horizontal_identity(200, 2.5, cap=62)
     assert rep.relative_width > rep.rel_target and not rep.agrees
 
 

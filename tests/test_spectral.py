@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,13 +72,105 @@ def test_top_eigenvalue_1x1_and_substochastic():
     assert est.value <= 1.0 + 1e-9
 
 
-def test_plateaued_power_iteration_is_not_converged():
-    # near the transition the Rayleigh value stops moving long before the
-    # iterate is an eigenvector: the flag must follow the residual
+def test_top_eigenvalue_converges_near_the_transition():
+    # near the transition the top eigenvalue stands only 6e-4 clear of the
+    # rest of the spectrum; the Ritz vector must still reach it to rounding
     pot = make_family("single", j=0, amplitude=0.0575)
-    est = top_eigenvalue(pinned_operator(K1, pot, 128))
-    assert est.residual > 1e-10
-    assert not est.converged
+    op = pinned_operator(K1, pot, 128)
+    est = top_eigenvalue(op, tol=spectral._EIG_TOL)
+    assert abs(est.value - np.linalg.eigvalsh(op.dense())[-1]) <= 1e-12
+    assert est.converged
+    # a delocalized window has no isolated top eigenvalue and may stop on
+    # the Ritz-value rule: the flag must still follow the residual
+    tol = spectral._EIG_TOL
+    est = top_eigenvalue(pinned_operator(
+        K1, make_family("single", j=0, amplitude=0.01), 8192), tol=tol)
+    assert est.converged == (est.residual <= tol * max(1.0, abs(est.value)))
+    assert est.value < 1.0
+
+
+def test_top_ritz_matches_eigh():
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 3, 17, 64):
+        for _ in range(5):
+            alpha, beta = rng.uniform(0, 1, k), rng.uniform(0.01, 0.3, k - 1)
+            t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            vals, vecs = np.linalg.eigh(t)
+            y = np.array(spectral._top_ritz(list(alpha), list(beta)))
+            assert abs(y @ vecs[:, -1]) == pytest.approx(1.0, abs=1e-12)
+            assert y @ t @ y == pytest.approx(vals[-1], abs=1e-14)
+
+
+@pytest.mark.parametrize("kernel", [K1, make_sos(2.5)],
+                         ids=lambda k: k.spec_string())
+def test_top_eigenvalue_matches_the_dense_spectrum(kernel):
+    # windows shorter than, equal to and longer than the 64-vector basis
+    pot = make_family("list", values=[0.3, 0.0, 0.5, 0.2])
+    for h in (0, 1, 5, 62, 63, 64, 100):
+        op = pinned_operator(kernel, pot, h)
+        est = top_eigenvalue(op)
+        assert est.converged, (h, est)
+        assert est.value == pytest.approx(np.linalg.eigvalsh(op.dense())[-1],
+                                          abs=1e-12)
+
+
+def _recorded_top_eigenvalue(monkeypatch):
+    calls = []
+
+    def record(op, tol=1e-10):
+        est = top_eigenvalue(op, tol)
+        calls.append((op.dim, est))
+        return est
+    monkeypatch.setattr(spectral, "top_eigenvalue", record)
+    return calls
+
+
+def test_lanczos_work_and_memory_stay_bounded(monkeypatch):
+    # the threshold workload's two eigen-window points (sigma2=0.1): three
+    # restart cycles of the 64-vector basis (194 matvecs) reach the
+    # tolerance on each window
+    calls = _recorded_top_eigenvalue(monkeypatch)
+    for eps in (0.0575, 0.105):
+        cert = localization_certificate(K1, make_family("single", j=0,
+                                                        amplitude=eps))
+        assert cert.spectral["route"] == "power_iteration"
+    assert calls
+    for dim, est in calls:
+        assert est.converged and est.iterations <= 512, (dim, est)
+    # the basis keeps at most 64 rows of the window: 4.2 MB at [0, 8192]
+    op = pinned_operator(K1, make_family("list", values=[0.0]), 8192)
+    tracemalloc.start()
+    try:
+        top_eigenvalue(op, tol=spectral._EIG_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
+@pytest.mark.parametrize("kernel,eps_eig", [(K5, 0.4), (make_sos(2.5), 0.15)],
+                         ids=["binomial-0.5", "sos-2.5"])
+def test_rewards_up_to_the_float_limit_never_overflow(kernel, eps_eig):
+    # the Lanczos cycles run on A e^{-max eps}; unscaled, a reward of
+    # _EPS_MAX overflows the basis dot products
+    pots = (make_family("single", j=0, amplitude=_EPS_MAX),
+            make_family("single", j=5, amplitude=_EPS_MAX),
+            make_family("list", values=[_EPS_MAX, 0.0, 0.5 * _EPS_MAX]),
+            make_family("exp", delta=1.0, amplitude=_EPS_MAX))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for pot, h in itertools.product(pots, (8, 200)):
+            est = top_eigenvalue(pinned_operator(kernel, pot, h))
+            assert math.isfinite(est.value) and est.value > 1.0
+            assert math.isfinite(est.residual)
+            assert est.residual <= 1e-10 * est.value
+        # rewards above log 2 take the indicator route; eps_eig is
+        # localized by the eigen windows
+        for pot in pots:
+            cert = localization_certificate(kernel, pot)
+            assert cert.spectral["route"] == "indicator"
+        cert = localization_certificate(
+            kernel, make_family("single", j=0, amplitude=eps_eig))
+        assert cert.spectral["route"] == "power_iteration"
 
 
 def test_power_iteration_value_is_rayleigh_lower_bound():
@@ -213,14 +306,27 @@ def test_min_pivot_of_one_row_and_free_walk():
     assert _min_pivot(pinned_operator(K1, zero, 8192), 1.0) > 0.0
 
 
+def test_inertia_row_moves_with_the_reward():
+    # the threshold workload's three points ruled out by inertia; the
+    # smallest pivot of the whole window lies in the bulk, 0.050022 for all
+    # three, so only the rows near the potential tell them apart
+    measured = []
+    for eps in (0.01, 0.03375, 0.045625):
+        cert = localization_certificate(
+            K1, make_family("single", j=0, amplitude=eps))
+        assert cert.evidence[-1].check == "inertia"
+        measured.append(cert.evidence[-1].measured)
+    assert measured[0] > measured[1] > measured[2] > 0.0
+
+
 def _loc_key(cert):
     return cert.verdict, cert.spectral
 
 
 @pytest.mark.parametrize("kernel,pots,n_inertia", [
-    # the three undetermined points of the threshold workload, one that
-    # power iteration leaves undetermined just above eps_c = 0.05129, one
-    # it localizes, and a sine one
+    # the three undetermined points of the threshold workload, one just
+    # above eps_c = 0.05129 that only a window of 2048 localizes, one
+    # localized well above, and a sine one
     (K1, [make_family("single", j=0, amplitude=a)
           for a in (0.01, 0.03375, 0.045625, 0.0515, 0.0575, 0.2)], 3),
     (K5, [make_family("exp", delta=1.0, amplitude=a)
@@ -271,7 +377,7 @@ def test_sine_grid_stays_bounded_on_long_tails():
 
 
 @pytest.mark.parametrize("kernel, family, delta, amp", [
-    (K1, "power", 1.5, 0.05),   # localized by power iteration
+    (K1, "power", 1.5, 0.05),   # localized by the eigen windows
     (K1, "power", 2.0, 0.2),    # localized by a sine window
     (K5, "power", 2.0, 0.2),    # undetermined
     (make_sos(2.5), "power", 1.5, 0.2),
