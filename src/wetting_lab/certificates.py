@@ -46,15 +46,5 @@ class Certificate:
                     "delocalized_empirical requires every recorded check to pass"
                 )
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "params": self.params,
-            "valid_up_to": self.valid_up_to,
-            "spectral": self.spectral,
-            "notes": list(self.notes),
-            "evidence": [asdict(e) for e in self.evidence],
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2, sort_keys=True)

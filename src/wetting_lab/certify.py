@@ -35,7 +35,12 @@ from .certificates import (
 from .errors import ParameterError, positive_finite
 from .kernels import WalkKernel, parse_kernel_spec
 from .potentials import PinningPotential, decouple, make_family, parse_potential_spec, rho
-from .spectral import _min_pivot, localization_certificate, pinned_operator
+from .spectral import (
+    _EIG_H_CAP,
+    _min_pivot,
+    localization_certificate,
+    pinned_operator,
+)
 from .transfer import free_energy, midpoint_prob, partition_profile
 
 # Shipped midpoint calibration constant: smallest C (on a half-integer grid)
@@ -70,7 +75,6 @@ def _midpoint_cached(kernel: WalkKernel, L_hi: int, j: int):
 
 @dataclass(frozen=True)
 class BaseCaseResult:
-    passed: bool
     max_ratio: float
     worst_L: int
     L1: int
@@ -81,13 +85,13 @@ def base_case_check(
     kernel: WalkKernel,
     j: int,
     b: float,
-    delta: float,
     *,
     L_cap: int | None = None,
 ) -> BaseCaseResult:
-    """Ratio Z_pinned/Z_free <= 1+delta for every L up to L_1 (or the cap)."""
-    if b < 0 or delta <= 0:
-        raise ParameterError("need b >= 0 and delta > 0")
+    """Largest ratio Z_pinned/Z_free over L up to L_1 (or the cap); the base
+    case holds for every delta with max_ratio <= 1+delta."""
+    if b < 0:
+        raise ParameterError("need b >= 0")
     eps = b * kernel.sigma2 / (j + 1)
     L1 = base_scale(j, kernel.sigma2)
     top = L1 if L_cap is None else min(L1, L_cap)
@@ -99,13 +103,7 @@ def base_case_check(
         r = _ratio(pin[L] - free[L])
         if r > best:
             best, worst = r, L
-    return BaseCaseResult(
-        passed=best <= 1.0 + delta + _SLACK,
-        max_ratio=best,
-        worst_L=worst,
-        L1=L1,
-        covered_to=top,
-    )
+    return BaseCaseResult(max_ratio=best, worst_L=worst, L1=L1, covered_to=top)
 
 
 def scalar_step_bound(delta: float, eps: float) -> float:
@@ -171,22 +169,25 @@ def doubling_step_check(
 def delocalization_certificate(
     kernel: WalkKernel,
     pot: PinningPotential,
-    b: float,
+    b: float | None = None,
     delta: float | None = None,
     L_max: int = 4096,
 ) -> Certificate:
     """Run the full pipeline: split by level, certify each level's doubling
     chain up to L_max, then check the recombined ratio directly.
 
-    Every recorded inequality must pass for the verdict
-    ``delocalized_empirical`` (valid up to L_max); any failure, an infeasible
-    delta window, or decoupling weights above 1 yield ``undetermined`` with
-    the failing scale recorded.
+    The decoupling constant ``b`` defaults to rho's upper bound (at least
+    1e-9), which makes the level weights sum to 1.  Every recorded
+    inequality must pass for the verdict ``delocalized_empirical`` (valid up
+    to L_max); any failure, an infeasible delta window, or decoupling
+    weights above 1 yield ``undetermined`` with the failing scale recorded.
     """
+    sigma2 = kernel.sigma2
+    if b is None:
+        b = max(rho(pot, sigma2).upper, 1e-9)
     positive_finite(b, "b")
     if delta is not None:
         positive_finite(delta, "delta")
-    sigma2 = kernel.sigma2
     params = {
         "kernel": kernel.spec_string(),
         "pot": pot.spec_string(),
@@ -196,74 +197,53 @@ def delocalization_certificate(
         "L_max": L_max,
     }
     evidence: list[Evidence] = []
-    notes: list[str] = []
+
+    def cert(verdict: str, note: str, valid_up_to: int | None = None):
+        return Certificate(verdict=verdict, evidence=tuple(evidence),
+                           params=params, valid_up_to=valid_up_to,
+                           notes=(note,))
 
     if pot.exceeds_log2:
-        return Certificate(
-            verdict=UNDETERMINED, evidence=(), params=params,
-            notes=("rewards above log 2 cannot be delocalized; "
-                   "run the spectral engine instead",),
-        )
-    if pot.support:
-        L1 = base_scale(min(pot.support), sigma2)
-        if L_max < L1:
-            return Certificate(
-                verdict=UNDETERMINED, evidence=(), params=params,
-                notes=(f"L_max={L_max} ends before the base scale L_1={L1}, "
-                       "so the induction covers no scale",),
-            )
+        return cert(UNDETERMINED, "rewards above log 2 cannot be delocalized; "
+                    "run the spectral engine instead")
+    levels = pot.support
+    if levels and L_max < base_scale(levels[0], sigma2):
+        return cert(UNDETERMINED, f"L_max={L_max} ends before the base scale "
+                    f"L_1={base_scale(levels[0], sigma2)}, so the induction "
+                    "covers no scale")
 
     dec = decouple(pot, b, sigma2)
     weight_sum = dec.rho_sum + pot.tail_bound / (b * sigma2)
     if not math.isfinite(weight_sum):
-        return Certificate(
-            verdict=UNDETERMINED, evidence=(), params=params,
-            notes=(f"decoupling weights are unbounded at this b (tail bound "
-                   f"{pot.tail_bound:g}); the level split does not apply",),
-        )
+        return cert(UNDETERMINED, "decoupling weights are unbounded at this b "
+                    f"(tail bound {pot.tail_bound:g}); the level split does "
+                    "not apply")
     evidence.append(Evidence(
         scale=0, check="decoupling_weight_sum", measured=weight_sum,
         threshold=1.0, passed=weight_sum <= 1.0 + _SLACK,
         detail=f"retained={dec.rho_sum:.6g}, tail<={pot.tail_bound / (b * sigma2):.3g}",
     ))
-    if weight_sum > 1.0 + _SLACK:
-        return Certificate(
-            verdict=UNDETERMINED, evidence=tuple(evidence), params=params,
-            notes=("decoupling weights exceed 1 at this b; "
-                   "the level split does not apply",),
-        )
+    if not evidence[-1].passed:
+        return cert(UNDETERMINED, "decoupling weights exceed 1 at this b; "
+                    "the level split does not apply")
 
-    levels = pot.support
-    base: dict[int, BaseCaseResult] = {}
-    delta_lo, delta_hi = 0.0, math.inf
-    for j in levels:
-        kappa = b * sigma2 / (j + 1)
-        delta_hi = min(delta_hi, max_feasible_delta(kappa))
+    # the base ratios do not depend on delta: measure them first, then pick
+    # delta strictly inside the window they leave with the scalar step
+    base = {j: base_case_check(kernel, j, b, L_cap=L_max) for j in levels}
     if delta is None:
-        # pre-pass with a permissive delta just to measure the base ratios
-        for j in levels:
-            base[j] = base_case_check(kernel, j, b, delta=1.0, L_cap=L_max)
-            delta_lo = max(delta_lo, base[j].max_ratio - 1.0)
-        if not levels:
-            delta = 0.1
-        elif delta_lo >= delta_hi - 1e-9:
+        delta_lo = max([0.0] + [r.max_ratio - 1.0 for r in base.values()])
+        delta_hi = min([math.inf] + [max_feasible_delta(b * sigma2 / (j + 1))
+                                     for j in levels])
+        if delta_lo >= delta_hi - 1e-9:
             params["delta_window"] = (delta_lo, delta_hi)
-            return Certificate(
-                verdict=UNDETERMINED, evidence=tuple(evidence), params=params,
-                notes=(f"no feasible delta: base ratios need > {delta_lo:.4g}, "
-                       f"scalar step allows < {delta_hi:.4g}",),
-            )
-        else:
-            # midpoint of the feasible window: deterministic, strictly inside
-            delta = 0.5 * (max(0.0, delta_lo) + delta_hi)
+            return cert(UNDETERMINED, "no feasible delta: base ratios need > "
+                        f"{delta_lo:.4g}, scalar step allows < {delta_hi:.4g}")
+        delta = 0.5 * (delta_lo + delta_hi) if levels else 0.1
     params["delta"] = delta
 
-    all_pass = True
     for j in levels:
-        res = base.get(j) or base_case_check(kernel, j, b, delta=delta,
-                                             L_cap=L_max)
+        res = base[j]
         ok = res.max_ratio <= 1.0 + delta + _SLACK
-        all_pass &= ok
         detail = f"worst L={res.worst_L}"
         if res.covered_to < res.L1:
             detail += f"; base window truncated at {res.covered_to} of {res.L1}"
@@ -278,7 +258,6 @@ def delocalization_certificate(
         n = 1
         while L0 * 2 ** n < L_max:
             step = doubling_step_check(kernel, j, b, delta, n, L_cap=L_max)
-            all_pass &= step.passed
             scales = step.samples
             span = f"L={scales[0]}..{scales[-1]}" if scales else "no scale"
             evidence.append(Evidence(
@@ -305,26 +284,18 @@ def delocalization_certificate(
     grid.append(L_max)
     for L in grid:
         ratio = _ratio(prof_pot[L] - prof_free[L])
-        ok = ratio <= 4.0 + _SLACK
-        all_pass &= ok
         evidence.append(Evidence(
             scale=L, check="recombined_ratio", measured=ratio, threshold=4.0,
-            passed=ok,
+            passed=ratio <= 4.0 + _SLACK,
         ))
 
-    if all_pass:
-        return Certificate(
-            verdict=DELOCALIZED_EMPIRICAL, evidence=tuple(evidence),
-            params=params, valid_up_to=L_max,
-            notes=("empirical: midpoint bound checked at every scale up to "
-                   "valid_up_to, nothing claimed beyond it",),
-        )
     failing = [e for e in evidence if not e.passed]
-    return Certificate(
-        verdict=UNDETERMINED, evidence=tuple(evidence), params=params,
-        notes=(f"first failing check: {failing[0].check} at scale "
-               f"{failing[0].scale:g}",),
-    )
+    if not failing:
+        return cert(DELOCALIZED_EMPIRICAL, "empirical: midpoint bound checked "
+                    "at every scale up to valid_up_to, nothing claimed beyond "
+                    "it", valid_up_to=L_max)
+    return cert(UNDETERMINED, f"first failing check: {failing[0].check} at "
+                f"scale {failing[0].scale:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +314,6 @@ class ThresholdBracket:
     hi_route: str
     trail: tuple[tuple[float, str], ...]  # (amplitude, verdict) in test order
 
-    def to_dict(self) -> dict:
-        return {
-            "amp_lo": self.amp_lo, "amp_hi": self.amp_hi,
-            "rho_lo": self.rho_lo, "rho_hi": self.rho_hi,
-            "caveat": self.caveat, "stalled": self.stalled,
-            "hi_route": self.hi_route,
-            "trail": [list(t) for t in self.trail],
-        }
-
 
 def wetting_threshold(
     kernel: WalkKernel,
@@ -366,8 +328,8 @@ def wetting_threshold(
     endpoint and a spectrally localized endpoint.
 
     ``make_pot(amp)`` must return the potential at amplitude ``amp``.  The
-    decoupling constant is tied to the amplitude (b = rho) so the level
-    weights sum to 1.  If a midpoint is neither certifiable nor localized
+    decoupling constant is the default b = rho, so the level weights sum
+    to 1.  If a midpoint is neither certifiable nor localized
     the bracket stops shrinking and is returned with ``stalled`` set.
     """
     if not (0 < amp_lo < amp_hi):
@@ -376,13 +338,12 @@ def wetting_threshold(
     trail: list[tuple[float, str]] = []
 
     def classify(amp: float) -> tuple[str, str]:
-        loc = localization_certificate(kernel, make_pot(amp))
+        pot = make_pot(amp)
+        loc = localization_certificate(kernel, pot)
         if loc.verdict == LOCALIZED:
             trail.append((amp, "localized"))
             return "localized", loc.spectral["route"]
-        pot = make_pot(amp)
-        b = rho(pot, kernel.sigma2).upper
-        dl = delocalization_certificate(kernel, pot, b=b, L_max=L_max)
+        dl = delocalization_certificate(kernel, pot, L_max=L_max)
         trail.append((amp, dl.verdict))
         return dl.verdict, ""
 
@@ -441,7 +402,7 @@ def free_energy_crossing(
     positive_finite(tol, "tol")
 
     def positive(amp: float) -> bool:
-        op = pinned_operator(kernel, make_pot(amp), 1 << 13)
+        op = pinned_operator(kernel, make_pot(amp), _EIG_H_CAP)
         return _min_pivot(op, 1.0) <= 0.0
 
     if positive(amp_lo) or not positive(amp_hi):
@@ -491,8 +452,7 @@ def _scan_one(args) -> dict:
         row["rho"] = rho_est.value
         loc = localization_certificate(kernel, pot)
         row["verdict_spectral"] = loc.verdict
-        b = rho_est.upper if rho_est.upper > 0 else 1.0
-        dl = delocalization_certificate(kernel, pot, b=b, L_max=L_max)
+        dl = delocalization_certificate(kernel, pot, L_max=L_max)
         row["verdict_induction"] = dl.verdict
         fe = free_energy(kernel, pot, L_cross=fe_cross)
         row["f_hat"] = fe.value

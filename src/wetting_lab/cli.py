@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, is_dataclass
 
 from . import __version__
 from .certify import (
@@ -44,25 +44,15 @@ from .spectral import localization_certificate
 from .transfer import free_energy, partition_profile
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation: serialisable, and sufficient to re-execute
-    the run (``wetting-lab rerun --config run.json``) byte for byte."""
-
-    subcommand: str
-    options: dict
-
-    def to_json(self) -> str:
-        payload = {"subcommand": self.subcommand, "options": self.options,
-                   "version": __version__}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    @staticmethod
-    def load(path: str) -> "RunConfig":
-        with open(path) as fh:
-            blob = json.load(fh)
-        return RunConfig(subcommand=blob["subcommand"],
-                         options=blob["options"])
+def _write_json(out_dir: str, name: str, obj) -> None:
+    """Write ``obj``, a dict or a dataclass record, as indented sorted-key
+    JSON with a final newline; the one writer of every JSON output."""
+    if is_dataclass(obj):
+        obj = asdict(obj)
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_csv(path: str, columns, rows) -> None:
@@ -95,9 +85,7 @@ def _cmd_free_energy(args) -> int:
         "trace": list(fe.trace),
         "rho": rho(pot, kernel.sigma2).value,
     }
-    with open(os.path.join(args.out_dir, "free_energy.json"), "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out_dir, "free_energy.json", result)
     return 3 if fe.flagged else 0
 
 
@@ -119,22 +107,17 @@ def _cmd_phase_scan(args) -> int:
 def _cmd_certify_deloc(args) -> int:
     kernel = parse_kernel_spec(args.kernel)
     pot = parse_potential_spec(args.pot)
-    b = args.b if args.b is not None else max(rho(pot, kernel.sigma2).upper, 1e-9)
     cert = delocalization_certificate(
-        kernel, pot, b=b, delta=args.delta, L_max=args.L_max)
-    with open(os.path.join(args.out_dir, "certificate.json"), "w") as fh:
-        fh.write(cert.to_json())
-        fh.write("\n")
+        kernel, pot, b=args.b, delta=args.delta, L_max=args.L_max)
+    _write_json(args.out_dir, "certificate.json", cert)
     return 0
 
 
 def _cmd_certify_loc(args) -> int:
     kernel = parse_kernel_spec(args.kernel)
     pot = parse_potential_spec(args.pot)
-    cert = localization_certificate(kernel, pot)
-    with open(os.path.join(args.out_dir, "certificate.json"), "w") as fh:
-        fh.write(cert.to_json())
-        fh.write("\n")
+    _write_json(args.out_dir, "certificate.json",
+                localization_certificate(kernel, pot))
     return 0
 
 
@@ -150,17 +133,10 @@ def _cmd_threshold(args) -> int:
     )
     cols = ("kernel", "sigma2", "family", "amp_lo", "amp_hi", "rho_lo",
             "rho_hi", "stalled", "hi_route", "caveat")
-    row = {
-        "kernel": args.kernel, "sigma2": kernel.sigma2, "family": args.family,
-        "amp_lo": bracket.amp_lo, "amp_hi": bracket.amp_hi,
-        "rho_lo": bracket.rho_lo, "rho_hi": bracket.rho_hi,
-        "stalled": bracket.stalled, "hi_route": bracket.hi_route,
-        "caveat": bracket.caveat,
-    }
+    row = {"kernel": args.kernel, "sigma2": kernel.sigma2,
+           "family": args.family, **asdict(bracket)}
     _write_csv(os.path.join(args.out_dir, "threshold.csv"), cols, [row])
-    with open(os.path.join(args.out_dir, "threshold.json"), "w") as fh:
-        json.dump(bracket.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out_dir, "threshold.json", bracket)
     return 0
 
 
@@ -235,9 +211,7 @@ def _cmd_saw_verify(args) -> int:
                 "L": L, "beta": beta, "ratio": ratio,
                 "normalized": ratio * math.sqrt(s2_hat * L),
             })
-    with open(os.path.join(args.out_dir, "saw_verify.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out_dir, "saw_verify.json", report)
     ok = all(r["agrees"] for r in report["identity"]) and \
         all(r["ok"] for r in report["permutation_bound"])
     return 0 if ok else 3
@@ -280,21 +254,31 @@ _RETIRED = frozenset({"c0", "deterministic"})
 
 
 def _cmd_rerun(args) -> int:
-    cfg = RunConfig.load(args.config)
+    try:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read config {args.config}: {exc}")
+    if not (isinstance(cfg, dict) and isinstance(cfg.get("subcommand"), str)
+            and isinstance(cfg.get("options"), dict)):
+        raise ParameterError(
+            f"config {args.config} is not a run.json: it needs an object "
+            "with a 'subcommand' string and an 'options' object")
+    sub, stored = cfg["subcommand"], cfg["options"]
     (subs,) = [a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction)]
-    parser = subs.choices.get(cfg.subcommand)
-    if parser is None or cfg.subcommand == "rerun":
-        raise ParameterError(f"unknown subcommand in config: {cfg.subcommand}")
+    parser = subs.choices.get(sub)
+    if parser is None or sub == "rerun":
+        raise ParameterError(f"unknown subcommand in config: {sub}")
     declared = {a.dest: a for a in parser._actions if a.dest != "help"}
-    unknown = sorted(set(cfg.options) - set(declared) - _RETIRED)
+    unknown = sorted(set(stored) - set(declared) - _RETIRED)
     if unknown:
         raise ParameterError(
-            f"config options not declared by {cfg.subcommand}: {unknown}")
+            f"config options not declared by {sub}: {unknown}")
     options = {}
     for dest, action in declared.items():
-        if dest in cfg.options:
-            options[dest] = cfg.options[dest]
+        if dest in stored:
+            options[dest] = stored[dest]
         elif action.required:
             raise ParameterError(
                 f"config lacks the required option {action.option_strings[0]}")
@@ -302,16 +286,14 @@ def _cmd_rerun(args) -> int:
             options[dest] = action.default
     if args.out_dir is not None:
         options["out_dir"] = args.out_dir
-    ns = argparse.Namespace(**options)
-    _emit_run_json(RunConfig(subcommand=cfg.subcommand, options=options),
-                   ns.out_dir)
-    return parser.get_default("func")(ns)
+    return _run(sub, options, parser.get_default("func"))
 
 
-def _emit_run_json(cfg: RunConfig, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "run.json"), "w") as fh:
-        fh.write(cfg.to_json())
+def _run(subcommand: str, options: dict, func) -> int:
+    """Echo the resolved configuration to run.json, then execute it."""
+    _write_json(options["out_dir"], "run.json", {
+        "subcommand": subcommand, "options": options, "version": __version__})
+    return func(argparse.Namespace(**options))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", required=True)
     p.add_argument("--pot", required=True)
     p.add_argument("--b", type=float, default=None,
-                   help="decoupling constant (default: rho of the potential)")
+                   help="decoupling constant (default: rho's upper bound, at "
+                        "least 1e-9)")
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--L-max", type=int, default=4096)
     p.add_argument("--exhaustive", action="store_true",
@@ -417,12 +400,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        if args.subcommand != "rerun":
-            options = {k: v for k, v in vars(args).items()
-                       if k not in ("func", "subcommand")}
-            _emit_run_json(RunConfig(subcommand=args.subcommand,
-                                     options=options), args.out_dir)
-        return args.func(args)
+        if args.subcommand == "rerun":
+            return args.func(args)
+        options = {k: v for k, v in vars(args).items()
+                   if k not in ("func", "subcommand")}
+        return _run(args.subcommand, options, args.func)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1

@@ -32,7 +32,8 @@ _PIVMIN = 1e-300  # smallest tridiagonal pivot magnitude, keeps 1/d finite
 # eigen-window fallback of localization_certificate: windows [0, 128],
 # [0, 256], ... up to 2^13, each solved by top_eigenvalue to a residual of
 # 1e-9 relative (_EIG_TOL), settled once the eigenvalue moves by <= 1e-8,
-# and localized when the Ritz vector's Rayleigh quotient exceeds 1 + 1e-8
+# and localized when the Ritz vector's Rayleigh quotient exceeds 1 + 1e-8;
+# 2^13 is also the largest window of free_energy and free_energy_crossing
 _EIG_H0 = 128
 _EIG_H_CAP = 1 << 13
 _EIG_TOL = 1e-9
@@ -349,6 +350,11 @@ def localization_certificate(kernel: WalkKernel,
     }
     evidence: list[Evidence] = []
 
+    def cert(verdict: str, *notes: str, **spectral) -> Certificate:
+        return Certificate(verdict=verdict, evidence=tuple(evidence),
+                           params=params, spectral=spectral or None,
+                           notes=notes)
+
     if pot.exceeds_log2:
         j_star = pot.log2_excess[0]
         # in logs: e^eps alone overflows for rewards beyond ~709
@@ -359,18 +365,9 @@ def localization_certificate(kernel: WalkKernel,
             threshold=1.0, passed=log_quot > 0.0,
             detail=f"indicator vector at level {j_star}",
         ))
-        return Certificate(
-            verdict=LOCALIZED,
-            evidence=tuple(evidence),
-            params=params,
-            spectral={
-                "route": "indicator",
-                "level": j_star,
-                "quotient": quot,
-                "rate": log_quot,
-            },
-            notes=("reward above log 2 localizes on its own",),
-        )
+        return cert(LOCALIZED, "reward above log 2 localizes on its own",
+                    route="indicator", level=j_star, quotient=quot,
+                    rate=log_quot)
 
     best: SineBound | None = None
     for d in _default_d_grid(pot):
@@ -382,18 +379,9 @@ def localization_certificate(kernel: WalkKernel,
         if sb.quotient > 1.0 and (best is None or sb.quotient > best.quotient):
             best = sb
     if best is not None:
-        return Certificate(
-            verdict=LOCALIZED,
-            evidence=tuple(evidence),
-            params=params,
-            spectral={
-                "route": "sine",
-                "d": best.d,
-                "quotient": best.quotient,
-                "rate": math.log(best.quotient),
-            },
-            notes=("rigorous modulo floating point",),
-        )
+        return cert(LOCALIZED, "rigorous modulo floating point", route="sine",
+                    d=best.d, quotient=best.quotient,
+                    rate=math.log(best.quotient))
 
     # every eigen window below is a leading block of the cap window, so a
     # positive definite (1 + margin) I - A there rules out all of them
@@ -410,15 +398,10 @@ def localization_certificate(kernel: WalkKernel,
             detail=(f"smallest LDL^T pivot of (1 + {_EIG_MARGIN:g}) I - A "
                     f"on the rows [0, {touched}] the potential touches"),
         ))
-        return Certificate(
-            verdict=UNDETERMINED,
-            evidence=tuple(evidence),
-            params=params,
-            notes=("no certificate found",
-                   f"(1 + {_EIG_MARGIN:g}) I - A is positive definite on "
-                   f"[0, {_EIG_H_CAP}], so no eigen window up to it can "
-                   "localize"),
-        )
+        return cert(UNDETERMINED, "no certificate found",
+                    f"(1 + {_EIG_MARGIN:g}) I - A is positive definite on "
+                    f"[0, {_EIG_H_CAP}], so no eigen window up to it can "
+                    "localize")
 
     windows = _eigen_windows(
         kernel, pot, _EIG_H0, _EIG_H_CAP, _EIG_TOL,
@@ -431,22 +414,7 @@ def localization_certificate(kernel: WalkKernel,
         ))
     h, eig = windows[-1]
     if eig.value > 1.0 + _EIG_MARGIN:
-        return Certificate(
-            verdict=LOCALIZED,
-            evidence=tuple(evidence),
-            params=params,
-            spectral={
-                "route": "power_iteration",
-                "h_max": h,
-                "eigenvalue": eig.value,
-                "residual": eig.residual,
-                "rate": math.log(eig.value),
-            },
-            notes=("rigorous modulo floating point",),
-        )
-    return Certificate(
-        verdict=UNDETERMINED,
-        evidence=tuple(evidence),
-        params=params,
-        notes=("no certificate found",),
-    )
+        return cert(LOCALIZED, "rigorous modulo floating point",
+                    route="power_iteration", h_max=h, eigenvalue=eig.value,
+                    residual=eig.residual, rate=math.log(eig.value))
+    return cert(UNDETERMINED, "no certificate found")

@@ -34,12 +34,11 @@ import numpy as np
 from .errors import ParameterError, TruncationError, positive_finite
 from .kernels import WalkKernel
 from .potentials import PinningPotential, make_family
-from .spectral import _eigen_windows
+from .spectral import _EIG_H_CAP, _eigen_windows
 
 DEFECT_TOL = 1e-12
 _STATE_CAP = 1 << 17
 _EPS_MAX = math.log(np.finfo(float).max)  # largest reward with finite e^eps
-_H_CAP = 1 << 13    # largest eigen window of free_energy
 _EIG_TOL = 1e-10    # Lanczos residual tolerance of free_energy
 
 
@@ -283,7 +282,9 @@ def free_energy(
     Primary estimator: log of the top eigenvalue of the symmetrised pinned
     operator on [0, h_max], h_max doubled from max(64, 4 (j_max+1),
     8 max_step) up to 2^13 until the floored value moves by less than
-    ``tol``.  The floor at 0 is sound: the potential is nonnegative
+    ``tol``; a first window past 2^13 is cut to it, so a long support costs
+    one window of 2^13, never a basis as long as the support.
+    The floor at 0 is sound: the potential is nonnegative
     so the true rate is >= 0, and truncation approaches it from below in the
     delocalized phase.  Cross-check: two-point slope of log Z at L_cross.
     Disagreement beyond 10*tol flags the result but still returns it.
@@ -303,8 +304,8 @@ def free_energy(
             f"reward at level {j_star} exceeds log 2; stuck-at-level path "
             f"already gives rate >= {math.log(kernel.prob(0)) + pot.eps[j_star]:.6g}"
         )
-    h0 = max(64, 4 * (pot.j_max + 1), 8 * kernel.max_step)
-    windows = _eigen_windows(kernel, pot, h0, _H_CAP, _EIG_TOL, settled)
+    h0 = min(max(64, 4 * (pot.j_max + 1), 8 * kernel.max_step), _EIG_H_CAP)
+    windows = _eigen_windows(kernel, pot, h0, _EIG_H_CAP, _EIG_TOL, settled)
     for h, eig in windows:
         trace.append(f"h_max={h}: lambda={eig.value:.12g} residual={eig.residual:.3g}")
     if len(windows) < 2 or not settled(windows[-2][1], windows[-1][1]):

@@ -32,14 +32,14 @@ K1 = make_binomial(0.1)
 
 
 def test_base_case_b0_always_passes():
-    res = base_case_check(K5, 1, 0.0, delta=0.05)
-    assert res.passed
+    res = base_case_check(K5, 1, 0.0)
+    assert res.max_ratio <= 1.0 + 0.05
     assert res.max_ratio <= 1.0 + 1e-12
 
 
 def test_base_case_moderate_b():
-    res = base_case_check(K5, 0, 0.1, delta=1.0)
-    assert res.passed
+    res = base_case_check(K5, 0, 0.1)
+    assert res.max_ratio <= 1.0 + 1.0
     # the L=2 point of the same ratio, by hand
     eps = 0.1 * 0.5
     want = (0.25 * math.exp(eps) + 0.0625) / 0.375
@@ -52,9 +52,8 @@ def test_base_case_moderate_b():
 
 
 def test_base_case_fails_far_supercritical():
-    res = base_case_check(K5, 0, 5.0, delta=1.0)
-    assert not res.passed
-    assert res.max_ratio > 2.0
+    res = base_case_check(K5, 0, 5.0)
+    assert res.max_ratio > 1.0 + 1.0
 
 
 def test_scalar_step_examples():
@@ -298,3 +297,47 @@ def test_certificates_work_on_geometric_kernel():
     assert cert.verdict == DELOCALIZED_EMPIRICAL
     strong = make_family("single", j=0, amplitude=0.5)
     assert localization_certificate(k, strong).verdict == LOCALIZED
+
+
+K25 = make_binomial(0.25)
+
+
+@pytest.mark.parametrize("kernel,pot,kw,verdict,note,checks", [
+    (K5, make_family("single", j=0, amplitude=2.5), dict(b=1.0, L_max=128),
+     UNDETERMINED, "rewards above log 2 cannot be delocalized", []),
+    (K5, make_family("single", j=0, amplitude=0.01), dict(L_max=15),
+     UNDETERMINED, "L_max=15 ends before the base scale L_1=16", []),
+    (K5, make_family("power", delta=0.5, amplitude=0.05, sign="-"),
+     dict(b=0.3), UNDETERMINED, "decoupling weights are unbounded", []),
+    (K25, make_family("exp", delta=1.0, amplitude=0.0125),
+     dict(b=0.01, L_max=256), UNDETERMINED, "decoupling weights exceed 1",
+     ["decoupling_weight_sum"]),
+    (K5, make_family("single", j=0, amplitude=0.01), dict(b=1.0, L_max=256),
+     UNDETERMINED, "no feasible delta: base ratios need > 5.799",
+     ["decoupling_weight_sum"]),
+    (K1, make_family("single", j=0, amplitude=0.1),
+     dict(delta=0.05, L_max=1024), UNDETERMINED,
+     "first failing check: base_ratio[j=0] at scale 80",
+     ["decoupling_weight_sum", "base_ratio", "recombined_ratio"]),
+    (K25, make_family("exp", delta=1.0, amplitude=0.0125), dict(L_max=1024),
+     DELOCALIZED_EMPIRICAL, "empirical: midpoint bound checked",
+     ["decoupling_weight_sum", "base_ratio", "doubling",
+      "recombined_ratio"]),
+], ids=["log2", "below-base-scale", "unbounded-weights", "weights-above-1",
+        "no-feasible-delta", "first-failing-check", "pass"])
+def test_every_delocalization_exit(kernel, pot, kw, verdict, note, checks):
+    cert = delocalization_certificate(kernel, pot, **kw)
+    assert cert.verdict == verdict
+    assert len(cert.notes) == 1 and cert.notes[0].startswith(note)
+    assert list(dict.fromkeys(e.check.split("[")[0]
+                              for e in cert.evidence)) == checks
+    assert cert.valid_up_to == (kw.get("L_max", 4096)
+                                if verdict == DELOCALIZED_EMPIRICAL else None)
+    # b defaults to rho's upper bound; delta is set once a window exists
+    assert cert.params["b"] == kw.get("b", rho(pot, kernel.sigma2).upper)
+    assert ("delta" in cert.params) == (len(checks) > 1)
+    if note.startswith("no feasible delta"):
+        lo, hi = cert.params["delta_window"]
+        assert lo == pytest.approx(5.7985, abs=1e-4) and lo >= hi - 1e-9
+    else:
+        assert "delta_window" not in cert.params

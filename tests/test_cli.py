@@ -380,3 +380,17 @@ def test_certify_subcommands(tmp_path):
     cert = _strict_json(tmp_path / "certificate.json")
     assert cert["verdict"] == "delocalized_empirical"
     assert cert["valid_up_to"] == 512
+
+
+@pytest.mark.parametrize("text", [
+    None, "{not json", "[1, 2]", '{"options": {}}',
+    '{"subcommand": "certify-loc"}',
+], ids=["missing", "not-json", "list", "no-subcommand", "no-options"])
+def test_rerun_refuses_unreadable_configs(tmp_path, capsys, text):
+    cfg = tmp_path / "run.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["rerun", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("parameter error:")
+    assert not (tmp_path / "out").exists()

@@ -392,3 +392,35 @@ def test_bounded_sine_grid_keeps_the_verdict(monkeypatch, kernel, family,
     monkeypatch.setattr(spectral, "_default_d_grid", _full_d_grid)
     full = localization_certificate(kernel, pot)
     assert (bounded.verdict, bounded.spectral) == (full.verdict, full.spectral)
+
+
+@pytest.mark.parametrize("kernel,pot,stub,verdict,route,notes,checks", [
+    (K5, make_family("single", j=0, amplitude=1.0), False, LOCALIZED,
+     "indicator", ("reward above log 2 localizes on its own",),
+     ["stuck_at_level_quotient"]),
+    (K1, make_family("power", delta=2.0, amplitude=0.2), False, LOCALIZED,
+     "sine", ("rigorous modulo floating point",), ["sine_quotient"]),
+    (K1, make_family("single", j=0, amplitude=0.01), False, UNDETERMINED,
+     None, ("no certificate found",
+            "(1 + 1e-08) I - A is positive definite on [0, 8192], so no "
+            "eigen window up to it can localize"),
+     ["sine_quotient", "inertia"]),
+    (K1, make_family("single", j=0, amplitude=0.0575), False, LOCALIZED,
+     "power_iteration", ("rigorous modulo floating point",),
+     ["sine_quotient", "top_eigenvalue"]),
+    # just above eps_c = 0.05129: the windows settle at 2048 below 1 + 1e-8
+    (K1, make_family("single", j=0, amplitude=0.05135), True, UNDETERMINED,
+     None, ("no certificate found",), ["sine_quotient", "top_eigenvalue"]),
+], ids=["indicator", "sine", "inertia", "eigen-localized",
+        "eigen-undetermined"])
+def test_every_localization_exit(monkeypatch, kernel, pot, stub, verdict,
+                                 route, notes, checks):
+    if stub:
+        monkeypatch.setattr(spectral, "_min_pivot", lambda op, shift: 0.0)
+    cert = localization_certificate(kernel, pot)
+    assert cert.verdict == verdict
+    assert (cert.spectral or {}).get("route") == route
+    assert cert.notes == notes
+    assert list(dict.fromkeys(e.check for e in cert.evidence)) == checks
+    assert cert.params == {"kernel": kernel.spec_string(),
+                           "pot": pot.spec_string(), "sigma2": kernel.sigma2}

@@ -275,3 +275,10 @@ def test_free_energy_monotone_and_log2_note():
     # stuck-at-level lower bound: log p(0) + eps > 0
     assert fe.value >= math.log(K5.prob(0)) + 1.0 - 0.01
     assert any("log 2" in line for line in fe.trace)
+
+
+def test_free_energy_first_window_stays_under_the_cap():
+    # a support of ~2,150 levels asks for a first window of 4 (j_max + 1)
+    # = 8620 rows; the eigen windows stop at 2^13 whatever the support
+    fe = free_energy(K5, make_family("exp", delta=0.01, amplitude=0.01))
+    assert fe.h_max <= 8192
