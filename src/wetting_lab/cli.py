@@ -234,8 +234,7 @@ def _cmd_oracle_check(args) -> int:
         for name, wall, p in variants:
             log_z = partition_profile(kernel, L_top, wall=wall, pot=p)
             err = 0.0
-            # longest first: the oracle's first call expands every length
-            for L in range(L_top, 0, -1):
+            for L in range(1, L_top + 1):
                 z_t = math.exp(float(log_z[L]))
                 z_o = oracle_partition(kernel, L, wall=wall, pot=p,
                                        mode="float")
@@ -251,6 +250,35 @@ def _cmd_oracle_check(args) -> int:
 # options of earlier versions that a stored run.json may still carry; each
 # is dropped where the subcommand no longer declares it
 _RETIRED = frozenset({"c0", "deterministic"})
+
+
+def _stored_value(action: argparse.Action, value):
+    """A run.json value as the parser would have produced it: text, or a
+    JSON number written as text, through the option's ``type=``; a flag
+    takes a bool, an appended option a list.  Anything else is a
+    ParameterError."""
+    if value is None and action.default is None and not action.required:
+        return None
+    bad = ParameterError(
+        f"config option {action.dest} has a bad value {value!r}")
+
+    def convert(v):
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if isinstance(v, str) or (number and action.type is not None):
+            try:
+                return (action.type or str)(str(v))
+            except ValueError:
+                pass
+        raise bad
+
+    if action.nargs == 0:  # a store_true flag
+        if isinstance(value, bool):
+            return value
+    elif not isinstance(action, argparse._AppendAction):
+        return convert(value)
+    elif isinstance(value, list):
+        return [convert(v) for v in value]
+    raise bad
 
 
 def _cmd_rerun(args) -> int:
@@ -278,7 +306,7 @@ def _cmd_rerun(args) -> int:
     options = {}
     for dest, action in declared.items():
         if dest in stored:
-            options[dest] = stored[dest]
+            options[dest] = _stored_value(action, stored[dest])
         elif action.required:
             raise ParameterError(
                 f"config lacks the required option {action.option_strings[0]}")

@@ -3,15 +3,15 @@
 Every quantity the transfer module produces is cross-checked here on small
 lengths by explicitly enumerating all bridges.  Two accumulators:
 
-  * ``float``: each partial path is one row of a numpy array (the expansion
-    is literal enumeration, vectorised); products of dyadic probabilities are
-    exact in binary floating point and pairwise summation keeps the rest at
-    ~1e-15 relative.  There is one expansion per (kernel, wall, potential),
-    and every length is read from it: Z_t sums the rows at height 0 after t
-    steps, which are exactly, and in the same order, the rows a length-t
-    expansion would keep, so each value is bit-for-bit the per-length one.
-    The Z values (never the rows) of the longest expansion so far are kept
-    for the process;
+  * ``float``: meet in the middle (Horowitz–Sahni, J. ACM 21, 1974).  The
+    ceil(L/2) steps from the start and the floor(L/2) steps back from the
+    end are each expanded literally, one numpy row per half path, carrying
+    the wall and the rewards of their own interior times; each half's
+    weights are summed per end height (sorted, then one pairwise
+    ``ndarray.sum`` per height), and Z_L = sum_h F(h) e^{eps(h)} B(h), the
+    midpoint reward applied once.  About 2 * 3^{L/2} rows instead of 3^L;
+    against an exact rational height DP the values agree to ~1e-15
+    relative.  Nothing is kept between calls;
   * ``fraction``: recursive depth-first enumeration with exact rationals,
     grouping paths by their contact signature so pinning weights multiply a
     single exact rational per signature.
@@ -28,10 +28,9 @@ import numpy as np
 
 from .errors import ParameterError, RefusalError
 from .kernels import WalkKernel
-from .potentials import PinningPotential, make_family
+from .potentials import PinningPotential
 from .transfer import partition_profile
 
-_ROW_CAP = 80_000_000
 _BASE_CAP_STEPS = 14  # for a 3-point stencil
 
 
@@ -50,85 +49,73 @@ def _check_cap(kernel: WalkKernel, L: int):
 
 
 def _pot_factor_table(pot: PinningPotential | None, span: int) -> np.ndarray | None:
-    """exp(eps) indexed by height + span, identity outside the support."""
-    if pot is None or not pot.support:
+    """exp(eps) indexed by height + span, identity outside the support; None
+    when no reward lies within reach.  Reads only the levels up to span (a
+    power tail may hold millions)."""
+    if pot is None:
+        return None
+    top = min(pot.j_max, span)
+    eps = pot.eps_array(top + 1)
+    if not eps.any():
         return None
     table = np.ones(2 * span + 1)
-    top = min(pot.j_max, span)
-    table[span: span + top + 1] = np.exp(pot.eps_array(top + 1))
+    table[span: span + top + 1] = np.exp(eps)
     return table
 
 
-def _bridge_rows(kernel: WalkKernel, L_max: int, wall: int | None,
-                 pot: PinningPotential | None,
-                 count_level: int | None = None):
-    """Expand every path once up to L_max and yield, for t = 1..L_max, the
-    (weights, counts) row-per-path arrays of the length-t bridges.
+def _half_sums(offs: np.ndarray, pv: np.ndarray, n: int, L: int, m: int,
+               wall: int | None, factor: np.ndarray | None,
+               span: int) -> tuple[np.ndarray, np.ndarray]:
+    """Heights and per-height weight sums of the n-step half paths of a
+    length-L bridge (stencil reach m), expanded literally from height 0 with
+    steps ``offs`` of weights ``pv``, one row per path.
 
-    A length-t bridge passes every prune of the length-L_max expansion, so
-    the rows with height 0 at step t are exactly the rows a length-t
-    expansion keeps, in the same (lexicographic) order and with the same
-    products.  They are read before the step-t reward, which belongs to
-    interior visits only.  The last step is not expanded: a row returns to 0
-    only through the offset -h, so those rows are gathered and weighted
-    directly, a zero-probability offset keeping a 0.0 row.
+    Rows obey the wall and the reach of the remaining L - t steps, and carry
+    the reward (``factor``, indexed by height + span) of their interior
+    times 1..n-1; time n is the midpoint, rewarded once by the caller.  A
+    zero-weight step keeps its 0.0 row.  Each height's rows are summed by
+    one pairwise ``ndarray.sum`` (``np.bincount`` would sum them in
+    sequence).
     """
-    m = kernel.max_step
-    dt = np.min_scalar_type(-2 * L_max * m)  # narrowest type for the heights
-    offs = np.array(kernel.offsets, dtype=dt)
-    pv = np.array(kernel.probs)
-    back = np.full(2 * m + 1, -1)  # offset index by -height + m
-    back[m - offs] = np.arange(offs.size)
-    span = L_max * m
-    factor = _pot_factor_table(pot, span)
-    h = np.zeros(1, dtype=dt)
+    h = np.zeros(1, dtype=offs.dtype)
     w = np.ones(1)
-    c = np.zeros(1, dtype=np.int64) if count_level is not None else None
-    for t in range(L_max):
-        if t >= 1:
-            at0 = h == 0
-            yield w[at0], None if c is None else c[at0]
-            if factor is not None:
-                w = w * factor[h + span]
-            if c is not None:
-                c = c + (h == count_level)
-        if h.size * offs.size > _ROW_CAP:
-            raise RefusalError("oracle row cap exceeded")
-        if t == L_max - 1:
-            break
+    for t in range(1, n + 1):
+        if t >= 2 and factor is not None:
+            w = w * factor[h + span]
         h = (h[:, None] + offs[None, :]).reshape(-1)
         w = (w[:, None] * pv[None, :]).reshape(-1)
-        if c is not None:
-            c = np.repeat(c, offs.size)
-        keep = np.abs(h) <= (L_max - t - 1) * m
+        keep = np.abs(h) <= (L - t) * m
         if wall is not None:
             keep &= h >= -wall
         h, w = h[keep], w[keep]
-        if c is not None:
-            c = c[keep]
-    k = back[m - h]  # |h| <= m after the last prune
-    ret = k >= 0
-    yield w[ret] * pv[k[ret]], None if c is None else c[ret]
+    order = np.argsort(h, kind="stable")
+    h, w = h[order], w[order]
+    heights, starts = np.unique(h, return_index=True)
+    ends = np.append(starts[1:], h.size)
+    return heights, np.array([w[i:j].sum() for i, j in zip(starts, ends)])
 
 
-# Z_t for t = 0..L of the longest float expansion made so far per (kernel,
-# wall, potential): values only, never rows, for at most _PROFILE_KEYS keys
-_PROFILE_KEYS = 64
-_profiles: dict[tuple, tuple[float, ...]] = {}
-
-
-def _float_profile(kernel: WalkKernel, L: int, wall: int | None,
-                   pot: PinningPotential | None) -> tuple[float, ...]:
-    key = (kernel, wall, pot)
-    z = _profiles.get(key)
-    if z is None or len(z) <= L:
-        z = (1.0,) + tuple(float(w.sum())
-                           for w, _ in _bridge_rows(kernel, L, wall, pot))
-        _profiles.pop(key, None)
-        if len(_profiles) >= _PROFILE_KEYS:
-            _profiles.pop(next(iter(_profiles)), None)
-        _profiles[key] = z
-    return z
+def _meet(kernel: WalkKernel, L: int, wall: int | None,
+          pot: PinningPotential | None, unit: bool = False) -> float:
+    """sum_h F(h) e^{eps(h)} B(h) over the ceil(L/2) steps from the start
+    (F) and the floor(L/2) steps back from the end (B, offsets negated, so
+    no symmetry of the kernel is assumed); the midpoint is interior, and
+    rewarded, only when L >= 2.  ``unit`` weighs every step 1, zero
+    probabilities included, so the sum counts the bridges."""
+    m = kernel.max_step
+    a, b = (L + 1) // 2, L // 2
+    span = a * m
+    factor = _pot_factor_table(pot, span)
+    # narrowest integer type for the heights (|h + span| <= 2 L m)
+    offs = np.array(kernel.offsets, dtype=np.min_scalar_type(-2 * L * m))
+    pv = np.ones(offs.size) if unit else np.array(kernel.probs)
+    hf, F = _half_sums(offs, pv, a, L, m, wall, factor, span)
+    hb, B = _half_sums(-offs, pv, b, L, m, wall, factor, span)
+    mid, i, j = np.intersect1d(hf, hb, assume_unique=True, return_indices=True)
+    z = F[i] * B[j]
+    if b >= 1 and factor is not None:
+        z = z * factor[mid + span]
+    return float(z.sum())
 
 
 def _enumerate_fraction(kernel: WalkKernel, L: int, wall: int | None,
@@ -181,8 +168,9 @@ def oracle_partition(
     """Bridge partition function by exhaustive enumeration.
 
     mode 'fraction' accumulates exact rationals (per contact signature when a
-    potential is present); 'float' is row-per-path vectorised enumeration;
-    'auto' picks fraction for small dyadic kernels.
+    potential is present); 'float' meets two literally enumerated half-path
+    expansions at the midpoint; 'auto' picks fraction for small dyadic
+    kernels.
     """
     if L < 1:
         raise ParameterError("L must be >= 1")
@@ -192,7 +180,7 @@ def oracle_partition(
     if mode == "auto":
         mode = "fraction" if (is_dyadic(kernel) and L <= 12) else "float"
     if mode == "float":
-        return _float_profile(kernel, L, wall, pot)[L]
+        return _meet(kernel, L, wall, pot)
     if mode == "fraction":
         acc, support = _enumerate_fraction(kernel, L, wall, pot)
         if pot is None or not support:
@@ -215,43 +203,10 @@ def oracle_partition_exact(kernel: WalkKernel, L: int,
 
 def oracle_path_count(kernel: WalkKernel, L: int, wall: int | None = None) -> int:
     """Number of admissible bridges (Motzkin numbers for the walled
-    nearest-neighbour walk)."""
+    nearest-neighbour walk); zero-probability offsets count as steps."""
     _check_cap(kernel, L)
-    *_, (w, _) = _bridge_rows(kernel, L, wall, None)
-    return w.size
-
-
-def oracle_contact_distribution(
-    kernel: WalkKernel,
-    L: int,
-    wall: int | None,
-    j: int,
-    mode: str = "auto",
-) -> dict[int, float]:
-    """Exact pmf of the interior contact count with height j under the
-    (optionally walled) bridge measure."""
-    if j < 0:
-        raise ParameterError("level must be nonnegative")
-    _check_cap(kernel, L)
-    if mode == "auto":
-        mode = "fraction" if (is_dyadic(kernel) and L <= 12) else "float"
-    if mode == "fraction":
-        marker = make_family("single", j=j, amplitude=1.0)
-        acc, support = _enumerate_fraction(kernel, L, wall, marker)
-        total = sum(acc.values(), Fraction(0))
-        if total == 0:
-            raise ParameterError("empty bridge ensemble")
-        out: dict[int, Fraction] = {}
-        for sig, frac in acc.items():
-            n = sig[0] if support else 0
-            out[n] = out.get(n, Fraction(0)) + frac
-        return {n: float(v / total) for n, v in sorted(out.items())}
-    *_, (w, c) = _bridge_rows(kernel, L, wall, None, count_level=j)
-    total = float(w.sum())
-    pmf: dict[int, float] = {}
-    for n in np.unique(c):
-        pmf[int(n)] = float(w[c == n].sum()) / total
-    return pmf
+    # integer sums and products below 2^53 under the cap: exact in float
+    return int(_meet(kernel, L, wall, None, unit=True))
 
 
 def clt_band(kernel: WalkKernel, L_list: list[int]) -> list[tuple[int, float]]:
@@ -260,9 +215,7 @@ def clt_band(kernel: WalkKernel, L_list: list[int]) -> list[tuple[int, float]]:
     cap = max_enumerable_L(kernel)
     big = [L for L in L_list if L > cap]
     prof = partition_profile(kernel, max(big)) if big else None
-    # largest first, so one expansion serves every enumerable length
-    z = {L: oracle_partition(kernel, L, mode="float")
-         for L in sorted({L for L in L_list if L <= cap}, reverse=True)}
     return [(L, math.sqrt(kernel.sigma2 * L)
-             * (z[L] if L <= cap else math.exp(float(prof[L]))))
+             * (oracle_partition(kernel, L, mode="float") if L <= cap
+                else math.exp(float(prof[L]))))
             for L in sorted(set(L_list))]

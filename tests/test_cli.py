@@ -394,3 +394,22 @@ def test_rerun_refuses_unreadable_configs(tmp_path, capsys, text):
                  "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("parameter error:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("cap", "x"), ("cap", 8.5), ("beta_list", 3), ("out_dir", 5),
+])
+def test_rerun_refuses_mistyped_values(tmp_path, capsys, monkeypatch,
+                                       key, value):
+    monkeypatch.chdir(tmp_path)
+    assert main(["saw-verify", *RUNS["saw-verify"], "--out-dir", "a"]) == 0
+    cfg = json.load(open("a/run.json"))
+    cfg["options"][key] = value
+    with open("bad_run.json", "w") as fh:
+        json.dump(cfg, fh)
+    capsys.readouterr()
+    assert main(["rerun", "--config", "bad_run.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error:") and key in err
+    assert sorted(os.listdir()) == ["a", "bad_run.json"]
+    assert sorted(os.listdir("a")) == ["run.json", "saw_verify.json"]

@@ -1,12 +1,12 @@
-import functools
+import csv
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from wetting_lab import rw_oracle
-from wetting_lab.cli import _write_csv, main
+from wetting_lab.cli import main
 from wetting_lab.errors import ParameterError, RefusalError
 from wetting_lab.kernels import (
     kernel_from_table,
@@ -16,11 +16,9 @@ from wetting_lab.kernels import (
 )
 from wetting_lab.potentials import make_family, parse_potential_spec
 from wetting_lab.rw_oracle import (
-    _pot_factor_table,
     clt_band,
     is_dyadic,
     max_enumerable_L,
-    oracle_contact_distribution,
     oracle_partition,
     oracle_partition_exact,
     oracle_path_count,
@@ -66,26 +64,6 @@ def test_walled_counts_are_motzkin():
             oracle_path_count(K5, 4, wall=0)) == (2, 4, 9)
 
 
-def test_contact_distribution():
-    pmf = oracle_contact_distribution(K5, 2, 0, 0)
-    assert pmf == {0: pytest.approx(0.2), 1: pytest.approx(0.8)}
-    # unreachable level
-    pmf = oracle_contact_distribution(K5, 4, 0, 9)
-    assert pmf == {0: pytest.approx(1.0)}
-    # normalization on a bigger instance, both accumulators
-    for mode in ("float", "fraction"):
-        pmf = oracle_contact_distribution(K5, 9, 0, 1, mode=mode)
-        assert sum(pmf.values()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_contact_distribution_modes_agree():
-    a = oracle_contact_distribution(K5, 8, 1, 0, mode="float")
-    b = oracle_contact_distribution(K5, 8, 1, 0, mode="fraction")
-    assert set(a) == set(b)
-    for n in a:
-        assert a[n] == pytest.approx(b[n], rel=1e-13)
-
-
 def test_refusal_beyond_cap():
     with pytest.raises(RefusalError):
         oracle_partition(K5, max_enumerable_L(K5) + 1)
@@ -105,32 +83,31 @@ def test_clt_band_rows():
     assert 0.15 <= min(vals.values()) <= max(vals.values()) <= 0.75
 
 
-# -- one expansion per (kernel, wall, potential) ------------------------------
+# -- an exact reference --------------------------------------------------------
 
-def _per_length_rows(kernel, L, wall, pot, count_level=-1):
-    """Reference: the length-L bridges from an expansion of their own, row
-    per path, pruned for length L at every step."""
-    offs, pv = np.array(kernel.offsets), np.array(kernel.probs)
-    span = L * kernel.max_step
-    factor = _pot_factor_table(pot, span)
-    h, w, c = np.zeros(1, dtype=np.int64), np.ones(1), np.zeros(1, dtype=int)
-    for t in range(L):
-        if t >= 1:
-            w = w * factor[h + span] if factor is not None else w
-            c = c + (h == count_level)
-        h = (h[:, None] + offs).reshape(-1)
-        w = (w[:, None] * pv).reshape(-1)
-        c = np.repeat(c, offs.size)
-        keep = np.abs(h) <= (L - t - 1) * kernel.max_step
-        if wall is not None:
-            keep &= h >= -wall
-        h, w, c = h[keep], w[keep], c[keep]
-    return w, c
+def _exact_z(kernel, L, wall, pot, unit=False):
+    """Z_L by a height DP in exact rationals over the float kernel
+    probabilities and the float e^eps factors (unit: every step weighs 1,
+    zero-probability offsets included, so Z_L counts the bridges)."""
+    steps = [(k, Fraction(1) if unit else Fraction(p))
+             for k, p in zip(kernel.offsets, kernel.probs)]
+    reward = {j: Fraction(math.exp(pot.eps[j])) for j in pot.support} \
+        if pot is not None else {}
+    z = {0: Fraction(1)}
+    for t in range(1, L + 1):
+        nxt = {}
+        for h, w in z.items():
+            for k, p in steps:
+                g = h + k
+                if abs(g) <= (L - t) * kernel.max_step and \
+                        (wall is None or g >= -wall):
+                    nxt[g] = nxt.get(g, 0) + w * p
+        z = {g: w * reward.get(g, 1) if t < L else w for g, w in nxt.items()}
+    return z.get(0, Fraction(0))
 
 
-@functools.lru_cache(maxsize=None)
-def _per_length_z(kernel, L, wall, pot):
-    return float(_per_length_rows(kernel, L, wall, pot)[0].sum())
+def _rel(value, exact):
+    return abs(Fraction(value) - exact) / exact
 
 
 def _oracle_check_variants():
@@ -165,98 +142,70 @@ def _cases(gap_kernel):
     ]
 
 
-def test_one_expansion_is_bitwise_the_per_length_enumeration(gap_kernel):
+def test_oracle_is_the_exact_height_dp(gap_kernel):
     for name, kernel, wall, pot in _cases(gap_kernel):
-        cap = max_enumerable_L(kernel)
-        ref = [_per_length_z(kernel, L, wall, pot) for L in range(1, cap + 1)]
-        rw_oracle._profiles.clear()
-        cold = [oracle_partition(kernel, L, wall=wall, pot=pot, mode="float")
-                for L in range(1, cap + 1)]  # each call expands to its own L
-        rw_oracle._profiles.clear()
-        oracle_partition(kernel, cap, wall=wall, pot=pot, mode="float")
-        warm = [oracle_partition(kernel, L, wall=wall, pot=pot, mode="float")
-                for L in range(1, cap + 1)]
-        assert cold == ref, name
-        assert warm == ref, name
+        for L in range(1, max_enumerable_L(kernel) + 1):
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                z = oracle_partition(kernel, L, wall=wall, pot=pot,
+                                     mode="float")
+            assert _rel(z, _exact_z(kernel, L, wall, pot)) <= 1e-14, (name, L)
 
 
 def test_gap_kernel_keeps_zero_rows(gap_kernel):
-    # the gathered last step keeps exactly the rows a full expansion keeps
+    # a zero-probability offset is still a step: the count includes the
+    # bridges that take it, which weigh 0.0
+    positive = SimpleNamespace(
+        offsets=(-2, 0, 2), probs=tuple(map(gap_kernel.prob, (-2, 0, 2))),
+        max_step=gap_kernel.max_step)
+    zero_rows = 0
     for L in range(1, max_enumerable_L(gap_kernel) + 1):
-        *_, (w, _) = rw_oracle._bridge_rows(gap_kernel, L, None, None)
-        ref, _ = _per_length_rows(gap_kernel, L, None, None)
-        assert w.size == ref.size and np.array_equal(w, ref)
-        assert oracle_path_count(gap_kernel, L) == ref.size
-    assert (w == 0.0).any()
+        count = _exact_z(gap_kernel, L, None, None, unit=True)
+        assert oracle_path_count(gap_kernel, L) == count
+        zero_rows += count - _exact_z(positive, L, None, None, unit=True)
+    assert zero_rows > 0
 
 
-def test_float_contact_pmfs_are_bitwise_the_per_length_ones(gap_kernel):
-    for kernel, L, wall, j in ((K5, 9, 0, 1), (K5, 14, None, 0),
-                               (make_binomial(0.1), 11, 2, 0),
-                               (gap_kernel, 6, 0, 2)):
-        w, c = _per_length_rows(kernel, L, wall, None, count_level=j)
-        total = float(w.sum())
-        ref = {int(n): float(w[c == n].sum()) / total for n in np.unique(c)}
-        got = oracle_contact_distribution(kernel, L, wall, j, mode="float")
-        assert got == ref
-
-
-def test_errors_fire_with_a_warm_memo():
-    cap = max_enumerable_L(K5)
-    rw_oracle._profiles.clear()
-    oracle_partition(K5, cap, mode="float")
-    oracle_partition(K5, cap, wall=0, mode="float")
-    with pytest.raises(ParameterError):
-        oracle_partition(K5, 0, mode="float")
-    with pytest.raises(ParameterError):
-        oracle_partition(K5, 3, wall=-1, mode="float")
+def test_oracle_keeps_no_state():
+    # every call expands its own two halves: the order of the calls, and
+    # the errors of earlier calls, change no value
+    calls = [(L, wall) for wall in (None, 0, 1, 2) for L in (3, 14, 8)]
+    first = [oracle_partition(K5, L, wall=w, mode="float") for L, w in calls]
+    for bad in ({"L": 0}, {"L": 3, "wall": -1}):
+        with pytest.raises(ParameterError):
+            oracle_partition(K5, mode="float", **bad)
     with pytest.raises(RefusalError):
-        oracle_partition(K5, cap + 1, mode="float")
+        oracle_partition(K5, max_enumerable_L(K5) + 1, mode="float")
+    again = [oracle_partition(K5, L, wall=w, mode="float")
+             for L, w in reversed(calls)]
+    assert again[::-1] == first
+    for (L, wall), z in zip(calls, first):
+        assert _rel(z, _exact_z(K5, L, wall, None)) <= 1e-14
 
 
-def test_memo_holds_values_only_and_stays_bounded():
-    rw_oracle._profiles.clear()
-    for k in range(rw_oracle._PROFILE_KEYS + 5):
-        oracle_partition(K5, 3, wall=k, mode="float")
-    oracle_partition(K5, 6, wall=rw_oracle._PROFILE_KEYS, mode="float")
-    assert len(rw_oracle._profiles) == rw_oracle._PROFILE_KEYS
-    for z in rw_oracle._profiles.values():
-        assert all(type(v) is float for v in z)
-        assert len(z) <= max_enumerable_L(K5) + 1
-
-
-def test_clt_band_expands_once(monkeypatch):
-    calls = []
-    real = rw_oracle._bridge_rows
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(rw_oracle, "_bridge_rows", counting)
-    rw_oracle._profiles.clear()
+def test_clt_band_rows_are_exact():
     rows = clt_band(K5, [1, 2, 4, 8, 14, 64])
-    assert calls == [14]
     assert [L for L, _ in rows] == [1, 2, 4, 8, 14, 64]
-    assert dict(rows)[8] == math.sqrt(0.5 * 8) * _per_length_z(K5, 8, None,
-                                                                None)
+    for L, v in rows[:-1]:
+        ref = math.sqrt(0.5 * L) * float(_exact_z(K5, L, None, None))
+        assert v == pytest.approx(ref, rel=1e-14)
 
 
-def test_oracle_check_csv_is_the_per_length_one(tmp_path):
+def test_oracle_check_csv_matches_the_exact_dp(tmp_path):
     assert main(["oracle-check", "--L-max", "14",
                  "--out-dir", str(tmp_path)]) == 0
-    rows = []
-    for name, kernel, wall, pot in _oracle_check_variants():
+    with open(tmp_path / "oracle_check.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    variants = _oracle_check_variants()
+    assert len(rows) == len(variants)
+    for row, (name, kernel, wall, pot) in zip(rows, variants):
         s2, variant = name.split("-")
         L_top = min(14, max_enumerable_L(kernel))
-        err = 0.0
-        for L in range(1, L_top + 1):
-            z_t = math.exp(log_partition(kernel, L, wall=wall, pot=pot))
-            z_o = _per_length_z(kernel, L, wall, pot)
-            err = max(err, abs(z_t - z_o) / z_o)
-        rows.append({"sigma2": float(s2), "variant": variant, "L_max": L_top,
-                     "max_rel_err": err})
-    _write_csv(str(tmp_path / "ref.csv"),
-               ("sigma2", "variant", "L_max", "max_rel_err"), rows)
-    assert ((tmp_path / "oracle_check.csv").read_bytes()
-            == (tmp_path / "ref.csv").read_bytes())
+        assert (row["sigma2"], row["variant"], int(row["L_max"])) == \
+            (s2, variant, L_top)
+        # the transfer's error against the exact value; the oracle's own
+        # error (<= 1e-14) is all that separates it from the csv's column
+        ref = max(_rel(math.exp(log_partition(kernel, L, wall=wall, pot=pot)),
+                       _exact_z(kernel, L, wall, pot))
+                  for L in range(1, L_top + 1))
+        assert abs(float(row["max_rel_err"]) - float(ref)) <= 1e-14
+        assert float(row["max_rel_err"]) <= 1e-12
