@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from wetting_lab import rw_oracle
 from wetting_lab.cli import main
 from wetting_lab.errors import ParameterError, RefusalError
 from wetting_lab.kernels import (
@@ -165,19 +166,38 @@ def test_gap_kernel_keeps_zero_rows(gap_kernel):
     assert zero_rows > 0
 
 
-def test_oracle_keeps_no_state():
-    # every call expands its own two halves: the order of the calls, and
-    # the errors of earlier calls, change no value
-    calls = [(L, wall) for wall in (None, 0, 1, 2) for L in (3, 14, 8)]
-    first = [oracle_partition(K5, L, wall=w, mode="float") for L, w in calls]
-    for bad in ({"L": 0}, {"L": 3, "wall": -1}):
-        with pytest.raises(ParameterError):
-            oracle_partition(K5, mode="float", **bad)
+def test_errors_fire_with_a_warm_memo():
+    # the oracle keeps no memo to warm: errors fire after calls at the cap
+    # just as on a first call, and change no later value
+    cap = max_enumerable_L(K5)
+    warm = [oracle_partition(K5, cap, wall=w, mode="float") for w in (None, 0)]
+    with pytest.raises(ParameterError):
+        oracle_partition(K5, 0, mode="float")
+    with pytest.raises(ParameterError):
+        oracle_partition(K5, 3, wall=-1, mode="float")
     with pytest.raises(RefusalError):
-        oracle_partition(K5, max_enumerable_L(K5) + 1, mode="float")
+        oracle_partition(K5, cap + 1, mode="float")
+    assert [oracle_partition(K5, cap, wall=w, mode="float")
+            for w in (None, 0)] == warm
+
+
+def _module_containers():
+    return {name: len(v) for name, v in vars(rw_oracle).items()
+            if isinstance(v, (dict, list, set))}
+
+
+def test_memo_holds_values_only_and_stays_bounded():
+    # every call expands its own two halves: no module-level container
+    # grows, the order of the calls changes no value, and each value is a
+    # float within 1e-14 of the exact DP
+    before = _module_containers()
+    calls = [(L, wall) for wall in range(20) for L in (3, 14, 8)]
+    first = [oracle_partition(K5, L, wall=w, mode="float") for L, w in calls]
     again = [oracle_partition(K5, L, wall=w, mode="float")
              for L, w in reversed(calls)]
+    assert _module_containers() == before
     assert again[::-1] == first
+    assert all(type(z) is float for z in first)
     for (L, wall), z in zip(calls, first):
         assert _rel(z, _exact_z(K5, L, wall, None)) <= 1e-14
 
