@@ -8,6 +8,7 @@ form for the power-law and exponential families.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +37,7 @@ class PinningPotential:
         # exponentially on its own; certifiers may short-circuit on this flag
         return bool(self.log2_excess)
 
-    @property
+    @functools.cached_property  # not a field: eq, hash and repr ignore it
     def support(self) -> tuple[int, ...]:
         return tuple(j for j, e in enumerate(self.eps) if e > 0.0)
 

@@ -14,6 +14,13 @@ arrival factor and a mark; per step the search keeps the product of arrival
 factors, the marked count and each line's horizontal crossings, so
 statistics are read off at each arrival without rebuilding the path.
 
+The unweighted unconstrained path sets (free-end counts, regularity
+counts, bridge counts without rewards) are symmetric under y -> -y, which
+maps the paths whose first vertical step is N one-to-one onto the S-first
+ones and keeps length, crossings, first edge and y = 0 contacts.  So they
+walk the flat and the N-first paths and count the N-first twice; walls,
+avoided levels, rewards and ``enumerate_saw`` get the full search.
+
 The minimal-horizontal identity needs no search: its paths are one signed
 vertical run per column, so their counts by excess length have a closed
 form (``_excess_counts``) and their tail a Rankin bound.
@@ -33,10 +40,9 @@ returned as (partial sum, certified interval).
 
 Conventions: the span-L ensemble joins (1/2, 0) to (L - 1/2, 0); interior
 contacts with height j are vertices (i + 1/2, j) for i in [1, L-2]; external
-contacts are height-0 vertices in columns i outside [0, L-1]; horizontal
-contacts are horizontal edges at the given height.  Step order is fixed to
-E, N, W, S, so enumeration streams and summation order are reproducible
-byte for byte.
+contacts are height-0 vertices in columns i outside [0, L-1].  Step order
+is fixed to E, N, W, S, so enumeration streams and summation order are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -74,19 +80,6 @@ class LatticePath:
     def edges(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
         return tuple(zip(self.vertices[:-1], self.vertices[1:]))
 
-    def validate(self) -> None:
-        vs = self.vertices
-        if len(vs) < 2:
-            raise ParameterError("a path has at least one edge")
-        if len(set(vs)) != len(vs):
-            raise ParameterError("vertices must be distinct (self-avoidance)")
-        for (u1, y1), (u2, y2) in self.edges():
-            if u1 % 2 == 0 or u2 % 2 == 0:
-                raise ParameterError("x coordinates must be half-integers")
-            if not ((abs(u1 - u2) == 2 and y1 == y2)
-                    or (u1 == u2 and abs(y1 - y2) == 1)):
-                raise ParameterError("consecutive vertices must be unit steps")
-
     def to_line(self) -> str:
         """Dump format: 'u0,y0;u1,y1;...' with x doubled to stay integral."""
         return ";".join(f"{u},{y}" for u, y in self.vertices)
@@ -107,16 +100,23 @@ class _Search:
     They arrive at ``goal`` or, with ``free_end``, at any vertex of goal's
     column (and may go on).  Iterating yields (length, weight, marked
     vertices) at each arrival; the weight is the product of factor(u, y)
-    over the vertices entered, 1.0 without ``factor``.  While the consumer
+    over the vertices entered, 1 without ``factor``.  While the consumer
     holds an arrival, ``path`` lists the cells and ``cross[x - c0]`` counts
     the horizontal edges crossing the line x.
     ``gate`` is the distance still to go (Manhattan, or horizontal only with
     a free end) or ``closed``: one comparison with the budget admits a step.
+
+    ``mirror`` is for path sets that the caller knows to be symmetric, with
+    marks and factors, under y -> 2 sy - y: the flat paths (a straight E or
+    W run) are walked, and of the rest only those whose first vertical step
+    is N; the DFS loop restarts below each root (the start cell and every
+    flat-run cell, with only its N step open) and counts what arrives
+    there twice, once for its S-first mirror image.
     """
 
     def __init__(self, start: tuple[int, int], goal: tuple[int, int],
                  max_len: int, *, free_end: bool = False, factor=None,
-                 blocked=None, marked=None):
+                 blocked=None, marked=None, mirror: bool = False):
         (su, sy), (gu, gy) = start, goal
         sc, gc = (su - 1) // 2, (gu - 1) // 2
 
@@ -132,7 +132,7 @@ class _Search:
         self.H = H = max(y for _, y in usable) - y0 + 2
         self.y0, self.closed = y0, max_len + 1
         self.gate = [self.closed] * (W * H)
-        self.factor = [1.0] * (W * H)
+        self.factor = [1] * (W * H)
         self.mark = [0] * (W * H)
         # each cell's steps E, N, W, S, paired with the index in ``cross``
         # of the line they cross (W, a spare slot, for N and S)
@@ -149,15 +149,43 @@ class _Search:
             self.steps[i] = ((i + H, j + 1), (i + 1, W),
                              (i - H, j), (i - 1, W))
         self.path = [(sc - c0) * H + (sy - y0)]
-        self.max_len, self.stop = max_len, not free_end
+        self.max_len, self.stop, self.mirror = max_len, not free_end, mirror
 
     def __iter__(self):
         gate, steps, factor, mark = (self.gate, self.steps, self.factor,
                                      self.mark)
         cross, path, closed = self.cross, self.path, self.closed
+        start, top = path[0], self.max_len + 1
+        gate[start] = closed
+        if not self.mirror:
+            yield from self._walk(1, 0, self.max_len, iter(steps[start]))
+            return
+        yield from self._walk(2, 0, self.max_len, iter(steps[start][1:2]))
+        fresh = gate[:]
+        for e in (0, 2):  # the flat runs E and W
+            w, m, rem = 1, 0, self.max_len
+            while gate[steps[path[-1]][e][0]] < rem:
+                n, k = steps[path[-1]][e]
+                w, m, d = w * factor[n], m + mark[n], gate[n]
+                cross[k] += 1
+                path.append(n)
+                if not d:
+                    yield top - rem, w, m
+                    if self.stop:
+                        break
+                gate[n] = closed
+                rem -= 1
+                yield from self._walk(2 * w, m, rem, iter(steps[n][1:2]))
+            gate[:], cross[:] = fresh, [0] * len(cross)
+            del path[1:]
+
+    def _walk(self, w, m, rem, it):
+        """The DFS below the last cell of ``path``: weight w, m marks, rem
+        steps left and ``it`` over the steps still open there."""
+        gate, steps, factor, mark = (self.gate, self.steps, self.factor,
+                                     self.mark)
+        cross, path, closed = self.cross, self.path, self.closed
         stop, top = self.stop, self.max_len + 1
-        gate[path[0]] = closed
-        w, m, rem, it = 1.0, 0, self.max_len, iter(steps[path[0]])
         stack = []
         while True:
             for n, k in it:
@@ -310,8 +338,10 @@ def _bridge_sums(L: int, excess_cap: int, constraint: str,
             f *= ext_w
         return f
 
+    mirror = blocked is None and pot is None and not eps_ext
     search = _Search((1, 0), (2 * L - 1, 0), (L - 1) + excess_cap,
-                     factor=arrival_factor, blocked=blocked)
+                     factor=None if mirror else arrival_factor,
+                     blocked=blocked, mirror=mirror)
     return _length_sums(search, L, excess_cap)
 
 
@@ -349,7 +379,7 @@ def saw_partition(
 def _free_end_counts(L: int, excess_cap: int) -> tuple[float, ...]:
     """Per-length counts of the paths of ``grand_canonical``."""
     search = _Search((1, 0), (2 * L - 1, 0), (L - 1) + excess_cap,
-                     free_end=True)
+                     free_end=True, mirror=True)
     return _length_sums(search, L, excess_cap)
 
 
@@ -366,39 +396,6 @@ def grand_canonical(L: int, beta: float, excess_cap: int) -> TruncatedEnsemble:
 # ---------------------------------------------------------------------------
 # contact statistics and regularity
 # ---------------------------------------------------------------------------
-
-
-def contacts(path: LatticePath, j: int, L: int) -> tuple[int, int, int]:
-    """(interior vertex contacts at height j, horizontal edges at height j,
-    external height-0 contacts)."""
-    n_j = 0
-    n_ext = 0
-    for u, y in path.vertices:
-        if y == j and 3 <= u <= 2 * L - 3:
-            n_j += 1
-        if y == 0 and (u < 1 or u > 2 * L - 1):
-            n_ext += 1
-    n_hat = sum(1 for (a, b) in path.edges()
-                if a[1] == j and b[1] == j)
-    return n_j, n_hat, n_ext
-
-
-def is_regular(path: LatticePath, u: int, L: int) -> bool:
-    """True when the path crosses the vertical line x=u exactly once for
-    interior u in [1, L-1], or not at all for u in {0, L}.
-
-    Vertices sit on half-integer columns, so intersections with the line are
-    counted through the horizontal edges that cross it.
-    """
-    if not (0 <= u <= L):
-        raise ParameterError("u must lie in [0, L]")
-    crossings = 0
-    for (u1, y1), (u2, y2) in path.edges():
-        if y1 == y2 and min(u1, u2) == 2 * u - 1:
-            crossings += 1
-    if u in (0, L):
-        return crossings == 0
-    return crossings == 1
 
 
 def _ratio_interval(num: float, den: float, tail_num: float,
@@ -439,19 +436,20 @@ def _regularity_counts(L: int, excess_cap: int, u_list: tuple[int, ...]):
     ext = [[0] * (top + 1) for _ in range(top)]
     search = _Search((1, 0), (2 * L - 1, 0), (L - 1) + excess_cap,
                      # marks: external contacts
-                     marked=lambda u, y: y == 0 and not 1 <= u <= 2 * L - 1)
+                     marked=lambda u, y: y == 0 and not 1 <= u <= 2 * L - 1,
+                     mirror=True)
     cross, path = search.cross, search.path
-    # is_regular: crossed once for interior u, never for u in {0, L}
+    # regular: crossed once for interior u, never for u in {0, L}
     lines = [(counts, u - search.c0, 0 if u in (0, L) else 1)
              for counts, u in zip(not_regular, u_list)]
-    for n, _, n_ext in search:
-        total[n] += 1
+    for n, w, n_ext in search:  # w: 1 or 2 paths (mirror)
+        total[n] += w
         for counts, k, once in lines:
             if cross[k] != once:
-                counts[n] += 1
+                counts[n] += w
         if abs(path[1] - path[0]) == 1:  # same column: first edge vertical
-            fv[n] += 1
-        ext[n][n_ext] += 1
+            fv[n] += w
+        ext[n][n_ext] += w
     cut = L - 1
     return (tuple(total[cut:]), tuple(tuple(c[cut:]) for c in not_regular),
             tuple(fv[cut:]), tuple(tuple(row) for row in ext[cut:]))

@@ -353,6 +353,19 @@ def test_saw_enumerate_stream(tmp_path):
         assert all(u % 2 == 1 for u, _ in pts)
 
 
+def test_saw_enumerate_keeps_the_full_search(tmp_path):
+    # the dump order (depth-first E, N, W, S) is part of the output, so the
+    # halved search of the counting ensembles never applies here: the file
+    # is byte for byte the one written before that search existed
+    rc = main(["saw-enumerate", "--y", "4.5,0", "--cap", "4",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    lines = open(tmp_path / "paths.txt").read().splitlines()
+    assert len(lines) == 147 and lines[0] == "1,0;3,0;5,0;7,0;9,0"
+    assert _sha(tmp_path / "paths.txt") == (
+        "d315630e7ec221e963809d45d792101631a09465e7541ab1b6663a79fcf57151")
+
+
 def test_threshold_subcommand(tmp_path):
     rc = main(["threshold", "--kernel", "binomial:sigma2=0.5",
                "--family", "single:j=0", "--amp-lo", "0.1",

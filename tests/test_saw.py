@@ -10,11 +10,9 @@ from wetting_lab.potentials import make_family
 from wetting_lab.saw import (
     BETA_MIN,
     LatticePath,
-    contacts,
     enumerate_saw,
     excess_length,
     grand_canonical,
-    is_regular,
     minimal_horizontal_identity,
     permutation_bound_delta,
     permutation_sum,
@@ -30,6 +28,57 @@ from wetting_lab.saw import (
 )
 
 
+# --- test-local references: read off the vertex list, independent of the
+# crossing and mark bookkeeping of the search ---
+
+
+def validate(path: LatticePath) -> None:
+    vs = path.vertices
+    if len(vs) < 2:
+        raise ParameterError("a path has at least one edge")
+    if len(set(vs)) != len(vs):
+        raise ParameterError("vertices must be distinct (self-avoidance)")
+    for (u1, y1), (u2, y2) in path.edges():
+        if u1 % 2 == 0 or u2 % 2 == 0:
+            raise ParameterError("x coordinates must be half-integers")
+        if not ((abs(u1 - u2) == 2 and y1 == y2)
+                or (u1 == u2 and abs(y1 - y2) == 1)):
+            raise ParameterError("consecutive vertices must be unit steps")
+
+
+def contacts(path: LatticePath, j: int, L: int) -> tuple[int, int, int]:
+    """(interior vertex contacts at height j, horizontal edges at height j,
+    external height-0 contacts)."""
+    n_j = 0
+    n_ext = 0
+    for u, y in path.vertices:
+        if y == j and 3 <= u <= 2 * L - 3:
+            n_j += 1
+        if y == 0 and (u < 1 or u > 2 * L - 1):
+            n_ext += 1
+    n_hat = sum(1 for (a, b) in path.edges()
+                if a[1] == j and b[1] == j)
+    return n_j, n_hat, n_ext
+
+
+def is_regular(path: LatticePath, u: int, L: int) -> bool:
+    """True when the path crosses the vertical line x=u exactly once for
+    interior u in [1, L-1], or not at all for u in {0, L}.
+
+    Vertices sit on half-integer columns, so intersections with the line are
+    counted through the horizontal edges that cross it.
+    """
+    if not (0 <= u <= L):
+        raise ParameterError("u must lie in [0, L]")
+    crossings = 0
+    for (u1, y1), (u2, y2) in path.edges():
+        if y1 == y2 and min(u1, u2) == 2 * u - 1:
+            crossings += 1
+    if u in (0, L):
+        return crossings == 0
+    return crossings == 1
+
+
 def test_enumerate_minimal_and_cap2():
     paths = list(enumerate_saw((0.5, 0), (1.5, 0), 0))
     assert len(paths) == 1 and paths[0].length == 1
@@ -37,7 +86,7 @@ def test_enumerate_minimal_and_cap2():
     assert len(paths) == 3
     assert sorted(p.length for p in paths) == [1, 3, 3]
     for p in paths:
-        p.validate()
+        validate(p)
 
 
 def test_enumeration_order_is_stable():
@@ -55,9 +104,9 @@ def test_enumeration_order_is_stable():
 
 def test_path_validation_catches_defects():
     with pytest.raises(ParameterError):
-        LatticePath(vertices=((1, 0), (5, 0))).validate()  # not a unit step
+        validate(LatticePath(vertices=((1, 0), (5, 0))))  # not a unit step
     with pytest.raises(ParameterError):
-        LatticePath(vertices=((1, 0), (3, 0), (1, 0))).validate()  # revisits
+        validate(LatticePath(vertices=((1, 0), (3, 0), (1, 0))))  # revisits
 
 
 def test_partition_minimal_cap():
@@ -153,7 +202,7 @@ def test_contacts_straight_and_excursion():
     # excursion dipping left of the span: external zero-level contact
     p = LatticePath(vertices=((1, 0), (1, 1), (-1, 1), (-1, 0), (-3, 0),
                               (-3, -1), (-1, -1), (1, -1), (3, -1), (3, 0)))
-    p.validate()
+    validate(p)
     n0, nhat0, next_ = contacts(p, 0, 2)
     assert next_ == 2  # (-1/2, 0) and (-3/2, 0)
     assert nhat0 == 1  # one horizontal edge at height 0: (-3,0)-(-1,0)
@@ -168,7 +217,7 @@ def test_regularity():
     # a path swinging back across x=2 three times
     p = LatticePath(vertices=((1, 0), (3, 0), (5, 0), (5, 1), (3, 1), (3, 2),
                               (5, 2), (7, 2), (7, 1), (7, 0), (9, 0)))
-    p.validate()
+    validate(p)
     assert not is_regular(p, 2, 5)
     assert is_regular(p, 4, 5)
     with pytest.raises(ParameterError):
@@ -516,3 +565,62 @@ def test_one_search_per_path_set_across_betas(monkeypatch):
     finally:
         for fn in cached:
             fn.cache_clear()
+
+
+# --- the reflection y -> -y: each symmetric path set searched by halves ---
+
+
+class _FullSearch(saw._Search):
+    """The search with the reflection switched off."""
+
+    def __init__(self, *args, mirror=False, **kwargs):
+        super().__init__(*args, **kwargs)
+
+
+def _full(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        m.setattr(saw, "_Search", _FullSearch)
+        return fn.__wrapped__(*args)
+
+
+@pytest.mark.parametrize("L", range(2, 8))
+def test_halved_search_counts_equal_the_full_search(monkeypatch, L):
+    # every cap with (L - 1) + cap <= 13; cap = 0 leaves only the flat path
+    us = tuple(range(L + 1))
+    for cap in range(0, 13 - (L - 1) + 1):
+        for fn, args in ((_free_end_counts, (L, cap)),
+                         (_bridge_sums, (L, cap, "none", None, None, 0.0))):
+            half, full = fn.__wrapped__(*args), _full(monkeypatch, fn, *args)
+            assert half == full, (fn.__name__, cap)
+            assert _exact(half) == _exact(full)
+        half = _regularity_counts.__wrapped__(L, cap, us)
+        full = _full(monkeypatch, _regularity_counts, L, cap, us)
+        for got, want in zip(half, full, strict=True):  # totals, lines, fv, ext
+            assert got == want, cap
+        for sums in (half[0], *half[1], half[2], *half[3]):
+            _exact(sums)
+
+
+@pytest.mark.parametrize("L,cap", [(2, 8), (4, 6), (6, 4)])
+def test_halved_free_end_search_walks_half(monkeypatch, L, cap):
+    # the full search, its flat arrivals told apart by their row
+    search = saw._Search((1, 0), (2 * L - 1, 0), (L - 1) + cap, free_end=True)
+    row = search.path[0] % search.H
+    full = flat = 0
+    for _ in search:
+        full += 1
+        flat += all(i % search.H == row for i in search.path)
+    # the search behind grand_canonical walks the flat path once and each
+    # N-first path for itself and its S-first mirror image
+    arrived = []
+
+    class Counting(saw._Search):
+        def __iter__(self):
+            for arrival in super().__iter__():
+                arrived.append(arrival)
+                yield arrival
+
+    monkeypatch.setattr(saw, "_Search", Counting)
+    _free_end_counts.__wrapped__(L, cap)
+    assert flat == 1
+    assert 2 * len(arrived) == full + flat
