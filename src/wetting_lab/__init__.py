@@ -7,7 +7,7 @@ enumeration of weighted self-avoiding lattice paths.
 
 __version__ = "0.1.0"
 
-from .kernels import WalkKernel, make_binomial, make_sos, validate_kernel
+from .kernels import WalkKernel, make_binomial, make_sos
 from .potentials import PinningPotential, decouple, make_family, rho
 from .certificates import Certificate, Evidence
 
@@ -18,7 +18,6 @@ __all__ = [
     "Evidence",
     "make_binomial",
     "make_sos",
-    "validate_kernel",
     "make_family",
     "rho",
     "decouple",

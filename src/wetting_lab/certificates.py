@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 LOCALIZED = "localized"
 DELOCALIZED_EMPIRICAL = "delocalized_empirical"
@@ -45,6 +44,3 @@ class Certificate:
                 raise ValueError(
                     "delocalized_empirical requires every recorded check to pass"
                 )
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)

@@ -65,8 +65,12 @@ def _write_csv(path: str, columns, rows) -> None:
 
 
 def _numbers(text: str, what: str, kind=float) -> list:
-    """Comma-separated finite numbers; anything else is a ParameterError."""
-    return [spec_number(t, what, kind) for t in text.split(",") if t]
+    """Comma-separated finite numbers, at least one; anything else is a
+    ParameterError."""
+    values = [spec_number(t, what, kind) for t in text.split(",") if t]
+    if not values:
+        raise ParameterError(f"{what} lists no numbers")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +240,7 @@ def _cmd_oracle_check(args) -> int:
             err = 0.0
             for L in range(1, L_top + 1):
                 z_t = math.exp(float(log_z[L]))
-                z_o = oracle_partition(kernel, L, wall=wall, pot=p,
-                                       mode="float")
+                z_o = oracle_partition(kernel, L, wall=wall, pot=p)
                 err = max(err, abs(z_t - z_o) / z_o)
             rows.append({"sigma2": s2, "variant": name, "L_max": L_top,
                          "max_rel_err": err})

@@ -6,7 +6,9 @@ requires, for a constant c0 in (0, 1],
 
     p(1) >= c0 * sigma^2 / 2      and      sum_k |k|^3 p(k) <= sigma^2 / c0,
 
-which forces p(0) >= 1 - sigma^2 >= 1/2 and irreducibility.  Kernels with
+which forces p(0) >= 1 - sigma^2 >= 1/2 and irreducibility.  The condition
+is stated here, not checked: the constructors enforce only the variance
+range (the tests check the built families against it).  Kernels with
 infinite support (the geometric / solid-on-solid family) are truncated at a
 finite stencil with the discarded mass recorded before renormalisation.
 """
@@ -21,7 +23,6 @@ import numpy as np
 from .errors import ParameterError, spec_fields, spec_number
 
 SIGMA2_MAX = 0.5
-_EQ_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,7 @@ class WalkKernel:
     """Immutable step distribution.
 
     ``sigma2`` is the effective (post-truncation) variance, which is what
-    every downstream computation uses; ``sigma2_analytic`` keeps the
-    closed-form value of the untruncated family for reporting.
+    every downstream computation uses.
     """
 
     offsets: tuple[int, ...]
@@ -38,13 +38,8 @@ class WalkKernel:
     sigma2: float
     max_step: int
     truncation_defect: float
-    sigma2_analytic: float | None = None
     family: str = "table"
     params: tuple[tuple[str, float], ...] = ()
-
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.sigma2)
 
     def prob(self, k: int) -> float:
         try:
@@ -70,7 +65,6 @@ def _finalize(
     pairs: dict[int, float],
     *,
     defect: float,
-    sigma2_analytic: float | None,
     family: str,
     params: tuple[tuple[str, float], ...],
 ) -> WalkKernel:
@@ -95,7 +89,6 @@ def _finalize(
         sigma2=sigma2_eff,
         max_step=max(abs(k) for k in offsets),
         truncation_defect=defect,
-        sigma2_analytic=sigma2_analytic,
         family=family,
         params=params,
     )
@@ -109,7 +102,6 @@ def make_binomial(sigma2: float) -> WalkKernel:
     return _finalize(
         pairs,
         defect=0.0,
-        sigma2_analytic=sigma2,
         family="binomial",
         params=(("sigma2", sigma2),),
     )
@@ -153,7 +145,6 @@ def make_sos(beta: float, tail_tol: float = 1e-12) -> WalkKernel:
     return _finalize(
         pairs,
         defect=defect,
-        sigma2_analytic=s2,
         family="sos",
         params=(("beta", beta), ("tail_tol", tail_tol)),
     )
@@ -183,64 +174,10 @@ def kernel_from_table(path: str) -> WalkKernel:
             pairs[-k] = p
     if not pairs or pairs.get(0, 0.0) <= 0:
         raise ParameterError("table kernel needs positive mass at 0")
-    kern = _finalize(
-        pairs, defect=0.0, sigma2_analytic=None, family="table", params=()
-    )
+    kern = _finalize(pairs, defect=0.0, family="table", params=())
     if not (0.0 < kern.sigma2 <= SIGMA2_MAX + 1e-12):
         raise ParameterError(f"table kernel variance {kern.sigma2:.4g} outside (0, 1/2]")
     return kern
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    """Per-condition outcome of the class-membership test (report only)."""
-
-    p1: float
-    p1_floor: float
-    p1_ok: bool
-    third_moment: float
-    third_moment_cap: float
-    third_moment_ok: bool
-    p0: float
-    p0_floor: float
-    p0_ok: bool
-    symmetric: bool
-    normalized: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.p1_ok
-            and self.third_moment_ok
-            and self.p0_ok
-            and self.symmetric
-            and self.normalized
-        )
-
-
-def validate_kernel(kernel: WalkKernel, c0: float = 1.0) -> MembershipReport:
-    """Check class membership for the given c0 without mutating the kernel."""
-    s2 = kernel.sigma2
-    p1 = kernel.prob(1)
-    m3 = sum(abs(k) ** 3 * p for k, p in zip(kernel.offsets, kernel.probs))
-    p0 = kernel.prob(0)
-    total = sum(kernel.probs)
-    sym = all(
-        abs(kernel.prob(k) - kernel.prob(-k)) == 0.0 for k in kernel.offsets
-    )
-    return MembershipReport(
-        p1=p1,
-        p1_floor=0.5 * c0 * s2,
-        p1_ok=p1 >= 0.5 * c0 * s2 - _EQ_SLACK,
-        third_moment=m3,
-        third_moment_cap=s2 / c0,
-        third_moment_ok=m3 <= s2 / c0 + _EQ_SLACK,
-        p0=p0,
-        p0_floor=1.0 - s2,
-        p0_ok=p0 >= 1.0 - s2 - _EQ_SLACK,
-        symmetric=sym,
-        normalized=abs(total - 1.0) <= _EQ_SLACK,
-    )
 
 
 def parse_kernel_spec(spec: str) -> WalkKernel:

@@ -162,10 +162,6 @@ class RhoEstimate:
     value: float   # sigma^-2 * sum_{j<=j_max} (j+1) eps_j
     upper: float   # value + tail_bound / sigma^2
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.value, self.upper)
-
 
 def rho(pot: PinningPotential, sigma2: float) -> RhoEstimate:
     if sigma2 <= 0:
@@ -202,19 +198,6 @@ def decouple(pot: PinningPotential, b: float, sigma2: float) -> Decoupling:
         for j, e in enumerate(pot.eps)
     )
     return Decoupling(levels=levels, rho_sum=sum(lp.rho_j for lp in levels))
-
-
-def localization_strength(pot: PinningPotential, d: int, upper: int | None = None) -> float:
-    """Window-averaged squared-level weight (d+1)^-1 sum_{j<=upper} (j+1)^2 eps_j.
-
-    ``upper`` defaults to d//2 (the walk-model condition); pass d for the
-    lattice-path variant.
-    """
-    if d < 0:
-        raise ParameterError("d must be nonnegative")
-    top = d // 2 if upper is None else upper
-    s = sum((j + 1) ** 2 * e for j, e in enumerate(pot.eps) if j <= top)
-    return s / (d + 1)
 
 
 def parse_potential_spec(spec: str, amplitude: float | None = None) -> PinningPotential:

@@ -1,20 +1,15 @@
 """Brute-force enumeration of walk bridges: the ground truth oracle.
 
 Every quantity the transfer module produces is cross-checked here on small
-lengths by explicitly enumerating all bridges.  Two accumulators:
-
-  * ``float``: meet in the middle (Horowitz–Sahni, J. ACM 21, 1974).  The
-    ceil(L/2) steps from the start and the floor(L/2) steps back from the
-    end are each expanded literally, one numpy row per half path, carrying
-    the wall and the rewards of their own interior times; each half's
-    weights are summed per end height (sorted, then one pairwise
-    ``ndarray.sum`` per height), and Z_L = sum_h F(h) e^{eps(h)} B(h), the
-    midpoint reward applied once.  About 2 * 3^{L/2} rows instead of 3^L;
-    against an exact rational height DP the values agree to ~1e-15
-    relative.  Nothing is kept between calls;
-  * ``fraction``: recursive depth-first enumeration with exact rationals,
-    grouping paths by their contact signature so pinning weights multiply a
-    single exact rational per signature.
+lengths by explicitly enumerating all bridges, with one float accumulator
+that meets in the middle (Horowitz–Sahni, J. ACM 21, 1974).  The
+ceil(L/2) steps from the start and the floor(L/2) steps back from the end
+are each expanded literally, one numpy row per half path, carrying the wall
+and the rewards of their own interior times; each half's weights are summed
+per end height (sorted, then one pairwise ``ndarray.sum`` per height), and
+Z_L = sum_h F(h) e^{eps(h)} B(h), the midpoint reward applied once.  About
+2 * 3^{L/2} rows instead of 3^L; against an exact rational height DP the
+values agree to ~1e-15 relative.  Nothing is kept between calls.
 
 The oracle refuses above its cost cap rather than approximate.
 """
@@ -22,7 +17,6 @@ The oracle refuses above its cost cap rather than approximate.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -96,19 +90,18 @@ def _half_sums(offs: np.ndarray, pv: np.ndarray, n: int, L: int, m: int,
 
 
 def _meet(kernel: WalkKernel, L: int, wall: int | None,
-          pot: PinningPotential | None, unit: bool = False) -> float:
+          pot: PinningPotential | None) -> float:
     """sum_h F(h) e^{eps(h)} B(h) over the ceil(L/2) steps from the start
     (F) and the floor(L/2) steps back from the end (B, offsets negated, so
     no symmetry of the kernel is assumed); the midpoint is interior, and
-    rewarded, only when L >= 2.  ``unit`` weighs every step 1, zero
-    probabilities included, so the sum counts the bridges."""
+    rewarded, only when L >= 2."""
     m = kernel.max_step
     a, b = (L + 1) // 2, L // 2
     span = a * m
     factor = _pot_factor_table(pot, span)
     # narrowest integer type for the heights (|h + span| <= 2 L m)
     offs = np.array(kernel.offsets, dtype=np.min_scalar_type(-2 * L * m))
-    pv = np.ones(offs.size) if unit else np.array(kernel.probs)
+    pv = np.array(kernel.probs)
     hf, F = _half_sums(offs, pv, a, L, m, wall, factor, span)
     hb, B = _half_sums(-offs, pv, b, L, m, wall, factor, span)
     mid, i, j = np.intersect1d(hf, hb, assume_unique=True, return_indices=True)
@@ -118,95 +111,24 @@ def _meet(kernel: WalkKernel, L: int, wall: int | None,
     return float(z.sum())
 
 
-def _enumerate_fraction(kernel: WalkKernel, L: int, wall: int | None,
-                        pot: PinningPotential | None):
-    """Exact rational weight per contact signature over the support levels."""
-    pf = [(k, Fraction(p)) for k, p in zip(kernel.offsets, kernel.probs) if p > 0]
-    support = pot.support if pot is not None else ()
-    maxstep = kernel.max_step
-    lo = -wall if wall is not None else None
-    acc: dict[tuple[int, ...], Fraction] = {}
-
-    def rec(t: int, h: int, w: Fraction, sig: tuple[int, ...]):
-        if t == L:
-            acc[sig] = acc.get(sig, Fraction(0)) + w
-            return
-        if t >= 1 and support:
-            try:
-                idx = support.index(h)
-                sig = sig[:idx] + (sig[idx] + 1,) + sig[idx + 1:]
-            except ValueError:
-                pass
-        rem = L - t - 1
-        for k, p in pf:
-            nh = h + k
-            if abs(nh) > rem * maxstep:
-                continue
-            if lo is not None and nh < lo:
-                continue
-            rec(t + 1, nh, w * p, sig)
-
-    rec(0, 0, Fraction(1), (0,) * len(support))
-    return acc, support
-
-
-def is_dyadic(kernel: WalkKernel) -> bool:
-    for p in kernel.probs:
-        den = Fraction(p).denominator
-        if den & (den - 1) or den > 1 << 12:
-            return False
-    return True
-
-
 def oracle_partition(
     kernel: WalkKernel,
     L: int,
     wall: int | None = None,
     pot: PinningPotential | None = None,
-    mode: str = "auto",
+    mode: str = "float",
 ) -> float:
-    """Bridge partition function by exhaustive enumeration.
-
-    mode 'fraction' accumulates exact rationals (per contact signature when a
-    potential is present); 'float' meets two literally enumerated half-path
-    expansions at the midpoint; 'auto' picks fraction for small dyadic
-    kernels.
-    """
+    """Bridge partition function by exhaustive enumeration: two literally
+    enumerated half-path expansions met at the midpoint.  'float' is the
+    only mode."""
     if L < 1:
         raise ParameterError("L must be >= 1")
     if wall is not None and wall < 0:
         raise ParameterError("wall depth must be nonnegative")
     _check_cap(kernel, L)
-    if mode == "auto":
-        mode = "fraction" if (is_dyadic(kernel) and L <= 12) else "float"
-    if mode == "float":
-        return _meet(kernel, L, wall, pot)
-    if mode == "fraction":
-        acc, support = _enumerate_fraction(kernel, L, wall, pot)
-        if pot is None or not support:
-            return float(sum(acc.values(), Fraction(0)))
-        eps = [pot.eps[j] for j in support]
-        return float(sum(
-            float(frac) * math.exp(sum(n * e for n, e in zip(sig, eps)))
-            for sig, frac in acc.items()
-        ))
-    raise ParameterError(f"unknown oracle mode {mode!r}")
-
-
-def oracle_partition_exact(kernel: WalkKernel, L: int,
-                           wall: int | None = None) -> Fraction:
-    """Exact rational partition function (no potential weights)."""
-    _check_cap(kernel, L)
-    acc, _ = _enumerate_fraction(kernel, L, wall, None)
-    return sum(acc.values(), Fraction(0))
-
-
-def oracle_path_count(kernel: WalkKernel, L: int, wall: int | None = None) -> int:
-    """Number of admissible bridges (Motzkin numbers for the walled
-    nearest-neighbour walk); zero-probability offsets count as steps."""
-    _check_cap(kernel, L)
-    # integer sums and products below 2^53 under the cap: exact in float
-    return int(_meet(kernel, L, wall, None, unit=True))
+    if mode != "float":
+        raise ParameterError(f"unknown oracle mode {mode!r}")
+    return _meet(kernel, L, wall, pot)
 
 
 def clt_band(kernel: WalkKernel, L_list: list[int]) -> list[tuple[int, float]]:
@@ -216,6 +138,6 @@ def clt_band(kernel: WalkKernel, L_list: list[int]) -> list[tuple[int, float]]:
     big = [L for L in L_list if L > cap]
     prof = partition_profile(kernel, max(big)) if big else None
     return [(L, math.sqrt(kernel.sigma2 * L)
-             * (oracle_partition(kernel, L, mode="float") if L <= cap
+             * (oracle_partition(kernel, L) if L <= cap
                 else math.exp(float(prof[L]))))
             for L in sorted(set(L_list))]

@@ -277,10 +277,6 @@ class TruncatedEnsemble:
     def upper(self) -> float:
         return self.partial_sum + self.tail_cert
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.lower, self.upper)
-
 
 def _length_sums(search: _Search, L: int, excess_cap: int) -> tuple:
     """Arrival weights of a span-L search summed by length, for the lengths

@@ -272,14 +272,15 @@ def _min_pivot(op: PinnedOperator, shift: float) -> float:
 
 
 def _eigen_windows(kernel: WalkKernel, pot: PinningPotential, h: int,
-                   h_cap: int, tol: float, settled) -> list[tuple[int, EigenEstimate]]:
+                   tol: float, settled) -> list[tuple[int, EigenEstimate]]:
     """(h, top eigenvalue) on the windows [0, h], [0, 2h], ... until
-    ``settled(previous, current)`` or the next window would exceed h_cap."""
+    ``settled(previous, current)`` or the next window would exceed
+    _EIG_H_CAP."""
     windows = []
     while True:
         op = pinned_operator(kernel, pot, h)
         windows.append((h, top_eigenvalue(op, tol=tol)))
-        if 2 * h > h_cap or (
+        if 2 * h > _EIG_H_CAP or (
                 len(windows) > 1 and settled(windows[-2][1], windows[-1][1])):
             return windows
         h *= 2
@@ -404,7 +405,7 @@ def localization_certificate(kernel: WalkKernel,
                     "localize")
 
     windows = _eigen_windows(
-        kernel, pot, _EIG_H0, _EIG_H_CAP, _EIG_TOL,
+        kernel, pot, _EIG_H0, _EIG_TOL,
         lambda a, b: abs(b.value - a.value) <= _EIG_MARGIN)
     for h, eig in windows:
         evidence.append(Evidence(

@@ -1,4 +1,4 @@
-"""Partition functions and pinned expectations via height-truncated transfer.
+"""Partition functions via height-truncated transfer.
 
 The walk bridge of length L with an optional wall at height -j and an optional
 pinning potential is summed exactly on a finite height window.  Weights decay
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ParameterError, TruncationError, positive_finite
 from .kernels import WalkKernel
-from .potentials import PinningPotential, make_family
+from .potentials import PinningPotential
 from .spectral import _EIG_H_CAP, _eigen_windows
 
 DEFECT_TOL = 1e-12
@@ -181,33 +181,6 @@ def log_partition(
     return float(partition_profile(kernel, L, wall=wall, pot=pot)[L])
 
 
-def pinned_expectation(kernel: WalkKernel, L: int, j: int, eps: float) -> float:
-    """E[e^{eps N}] for the walled bridge, N = interior contacts with height 0."""
-    if L < 2:
-        raise ParameterError("pinned expectation needs L >= 2")
-    if eps == 0.0:
-        return 1.0
-    pot = make_family("single", j=0, amplitude=eps)
-    num = log_partition(kernel, L, wall=j, pot=pot)
-    den = log_partition(kernel, L, wall=j)
-    return math.exp(num - den)
-
-
-def zero_contact_moment(kernel: WalkKernel, L: int, b: float) -> float:
-    """E[e^{b sigma N / sqrt(L)}] for the unconstrained bridge."""
-    if L < 2:
-        raise ParameterError("needs L >= 2")
-    if b < 0:
-        raise ParameterError("b must be nonnegative")
-    if b == 0.0:
-        return 1.0
-    eps = b * kernel.sigma / math.sqrt(L)
-    pot = make_family("single", j=0, amplitude=eps)
-    num = log_partition(kernel, L, pot=pot)
-    den = log_partition(kernel, L)
-    return math.exp(num - den)
-
-
 def midpoint_prob(kernel: WalkKernel, L: int, j: int) -> np.ndarray:
     """Midpoint profile: entry l is P(both heights at times floor(l/2),
     floor(l/2)+1 stay >= -j) under the unconstrained bridge of length l, for
@@ -305,7 +278,7 @@ def free_energy(
             f"already gives rate >= {math.log(kernel.prob(0)) + pot.eps[j_star]:.6g}"
         )
     h0 = min(max(64, 4 * (pot.j_max + 1), 8 * kernel.max_step), _EIG_H_CAP)
-    windows = _eigen_windows(kernel, pot, h0, _EIG_H_CAP, _EIG_TOL, settled)
+    windows = _eigen_windows(kernel, pot, h0, _EIG_TOL, settled)
     for h, eig in windows:
         trace.append(f"h_max={h}: lambda={eig.value:.12g} residual={eig.residual:.3g}")
     if len(windows) < 2 or not settled(windows[-2][1], windows[-1][1]):

@@ -1,6 +1,9 @@
+import itertools
 import json
 import math
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from wetting_lab.certificates import (
@@ -11,8 +14,8 @@ from wetting_lab.certificates import (
     UNDETERMINED,
 )
 from wetting_lab.errors import ParameterError
-from wetting_lab.kernels import make_binomial
-from wetting_lab.potentials import make_family, rho
+from wetting_lab.kernels import make_binomial, parse_kernel_spec
+from wetting_lab.potentials import make_family, parse_potential_spec, rho
 from wetting_lab.certify import (
     ScanPoint,
     base_case_check,
@@ -25,7 +28,7 @@ from wetting_lab.certify import (
     scalar_step_bound,
     wetting_threshold,
 )
-from wetting_lab.transfer import log_partition, midpoint_prob
+from wetting_lab.transfer import log_partition, midpoint_prob, partition_profile
 
 K5 = make_binomial(0.5)
 K1 = make_binomial(0.1)
@@ -156,7 +159,23 @@ def test_deloc_large_b_keeps_evidence_finite():
                                           L_max=64)
         assert cert.verdict == UNDETERMINED
         assert all(math.isfinite(e.measured) for e in cert.evidence)
-        json.loads(cert.to_json(), parse_constant=_refuse_constant)
+        json.loads(json.dumps(asdict(cert)),
+                   parse_constant=_refuse_constant)
+
+
+@pytest.mark.parametrize("kernel, pot", itertools.product(
+    ["binomial:sigma2=0.1", "binomial:sigma2=0.5", "sos:beta=2.5"],
+    ["single:j=0,eps=0.05", "exp:delta=1,amp=0.05", "power:delta=3,amp=0.05",
+     "single:j=0,eps=700"]))
+def test_sweeps_and_induction_raise_no_float_error(kernel, pot):
+    kernel, pot = parse_kernel_spec(kernel), parse_potential_spec(pot)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        prof = partition_profile(kernel, 256, wall=0, pot=pot)
+        mid = midpoint_prob(kernel, 256, 0)
+        cert = delocalization_certificate(kernel, pot, L_max=256)
+    assert np.isfinite(prof[1:]).all()
+    assert ((0.0 < mid) & (mid <= 1.0)).all()
+    assert all(math.isfinite(e.measured) for e in cert.evidence)
 
 
 def test_deloc_log2_shortcircuit():
@@ -178,7 +197,7 @@ def test_certificate_construction_rules():
 def test_certificate_json_schema():
     pot = make_family("single", j=0, amplitude=0.0)
     cert = delocalization_certificate(K5, pot, b=1.0, L_max=64)
-    blob = json.loads(cert.to_json())
+    blob = json.loads(json.dumps(asdict(cert)))
     assert set(blob) == {"verdict", "params", "valid_up_to", "spectral",
                          "notes", "evidence"}
     assert blob["evidence"][0].keys() >= {"scale", "check", "measured",

@@ -1,5 +1,7 @@
 import argparse
+import ast
 import csv
+import glob
 import hashlib
 import inspect
 import json
@@ -10,6 +12,8 @@ import re
 import pytest
 
 from wetting_lab.cli import build_parser, main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _sha(path):
@@ -125,6 +129,12 @@ def test_free_energy_huge_reward_is_parameter_error(tmp_path, capsys, eps):
      "--amps", "0.1,nan"],
     ["oracle-check", "--L-max", "0"],
     ["oracle-check", "--L-max", "-3"],
+    # a list with no numbers in it
+    ["saw-verify", "--beta-list", ","],
+    ["saw-verify", "--L-list", ","],
+    ["oracle-check", "--sigma2-list", ","],
+    ["phase-scan", "--kernel", "binomial:sigma2=0.5", "--family", "single:j=0",
+     "--amps", ","],
 ])
 def test_out_of_range_numbers_are_parameter_errors(tmp_path, capsys, argv):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 1
@@ -276,6 +286,33 @@ def test_every_declared_option_is_read():
                 continue
             assert re.search(rf"\bargs\.{dest}\b", source), \
                 f"{name}: option {action.option_strings} is never read"
+
+
+def test_every_public_library_name_is_read_outside_tests():
+    # a public top-level function or class is read by another module (not
+    # __init__), by its own module outside its definition, or under
+    # scripts/ or perfbench/; acceptance criterion 10 reads excess_length
+    def read(pattern):
+        return {path: open(path).read() for path in glob.glob(
+            os.path.join(ROOT, pattern), recursive=True)}
+
+    modules = read("src/wetting_lab/*.py")
+    elsewhere = " ".join({**read("scripts/**/*.py"),
+                          **read("perfbench/**/*.py")}.values())
+    unread = []
+    for path, text in modules.items():
+        lines = text.splitlines()
+        others = [t for p, t in modules.items()
+                  if p != path and not p.endswith("__init__.py")]
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
+                    node.name.startswith("_") or node.name == "excess_length":
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            own = lines[:node.lineno - 1] + lines[node.end_lineno:]
+            if not any(map(word.search, [*own, *others, elsewhere])):
+                unread.append(f"{os.path.basename(path)}: {node.name}")
+    assert not unread, f"read only by tests: {unread}"
 
 
 def test_workers_default_is_one(tmp_path):

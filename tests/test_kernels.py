@@ -11,7 +11,6 @@ from wetting_lab.kernels import (
     parse_kernel_spec,
     sos_normalizer,
     sos_sigma2,
-    validate_kernel,
 )
 
 
@@ -45,7 +44,6 @@ def test_sos_beta3_closed_forms():
     assert sos_normalizer(3.0) == pytest.approx(z, rel=1e-15)
 
     k = make_sos(3.0)
-    assert k.sigma2_analytic == pytest.approx(sigma2, rel=1e-15)
     assert k.sigma2 == pytest.approx(sigma2, abs=1e-10)
     assert k.truncation_defect < 1e-12
 
@@ -86,39 +84,50 @@ def test_kernel_invariants_sos():
     assert var == pytest.approx(k.sigma2, abs=1e-10)
 
 
+def _membership(kernel, c0=1.0):
+    """Per-condition outcome of the class condition the kernels module
+    states, and the third absolute moment."""
+    s2 = kernel.sigma2
+    m3 = sum(abs(k) ** 3 * p for k, p in zip(kernel.offsets, kernel.probs))
+    ok = {
+        "p1": kernel.prob(1) >= 0.5 * c0 * s2 - 1e-12,
+        "third_moment": m3 <= s2 / c0 + 1e-12,
+        "p0": kernel.prob(0) >= 1.0 - s2 - 1e-12,
+        "symmetric": all(kernel.prob(k) == kernel.prob(-k)
+                         for k in kernel.offsets),
+        "normalized": abs(sum(kernel.probs) - 1.0) <= 1e-12,
+    }
+    return ok, m3
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.floats(min_value=1e-3, max_value=0.5))
 def test_binomial_membership_grid(sigma2):
-    rep = validate_kernel(make_binomial(sigma2), c0=1.0)
-    assert rep.passed
+    ok, _ = _membership(make_binomial(sigma2))
+    assert all(ok.values())
 
 
 def test_membership_numbers_binomial_half():
-    rep = validate_kernel(make_binomial(0.5), c0=1.0)
-    assert rep.p1 == pytest.approx(0.25)
-    assert rep.p1_floor == pytest.approx(0.25)
-    assert rep.third_moment == pytest.approx(0.5)
-    assert rep.third_moment_cap == pytest.approx(0.5)
-    assert rep.passed
+    k = make_binomial(0.5)
+    ok, m3 = _membership(k)
+    # both inequalities hold with equality at sigma2 = 1/2, c0 = 1
+    assert k.prob(1) == pytest.approx(0.25) == pytest.approx(0.5 * k.sigma2)
+    assert m3 == pytest.approx(0.5) == pytest.approx(k.sigma2)
+    assert all(ok.values())
 
 
 def test_membership_sos():
-    k = make_sos(3.0)
-    rep = validate_kernel(k, c0=1.0)
-    assert rep.p0 >= 1 - k.sigma2
-    assert rep.symmetric and rep.normalized
-    # p(1) vs the floor is reported either way
-    assert rep.p1 == pytest.approx(k.prob(1))
+    ok, _ = _membership(make_sos(3.0))
+    assert ok["p0"] and ok["symmetric"] and ok["normalized"]
 
 
 def test_gap_kernel_flagged(tmp_path):
     # mass at 0 and +-2 only: p(1)=0 breaks irreducibility/membership
     path = tmp_path / "k.txt"
     path.write_text("0 0.95\n2 0.025\n")
-    k = kernel_from_table(str(path))
-    rep = validate_kernel(k, c0=1.0)
-    assert not rep.p1_ok
-    assert not rep.passed
+    ok, _ = _membership(kernel_from_table(str(path)))
+    assert not ok["p1"]
+    assert not all(ok.values())
 
 
 def test_parse_kernel_specs(tmp_path):

@@ -7,7 +7,6 @@ from wetting_lab.errors import ParameterError
 from wetting_lab.potentials import (
     LOG2,
     decouple,
-    localization_strength,
     make_family,
     parse_potential_spec,
     rho,
@@ -106,27 +105,6 @@ def test_decouple_normalizing_amplitude():
     amp = b * sigma2 / series
     dec = decouple(base.scaled(amp), b, sigma2)
     assert dec.rho_sum == pytest.approx(1.0, rel=1e-12)
-
-
-def test_localization_strength():
-    assert localization_strength(make_family("single", j=0, amplitude=0.3), 0) \
-        == pytest.approx(0.3)
-    zero = make_family("list", values=[0.0, 0.0, 0.0])
-    for d in range(5):
-        assert localization_strength(zero, d) == 0.0
-    pot = make_family("power", delta=0.5, amplitude=1.0, weighted_tail_tol=0.1)
-    brute = sum((j + 1) ** 2 * (j + 1) ** (-2.5) for j in range(6)) / 11.0
-    assert localization_strength(pot, 10) == pytest.approx(brute, rel=1e-12)
-    # the lattice-path variant sums up to d instead of d//2
-    full = sum((j + 1) ** 2 * pot.eps[j] for j in range(11)) / 11.0
-    assert localization_strength(pot, 10, upper=10) == pytest.approx(full)
-
-
-def test_localization_strength_monotone_in_amplitude():
-    pot = make_family("exp", delta=0.7, amplitude=0.1)
-    a = localization_strength(pot, 6)
-    b = localization_strength(pot.scaled(2.0), 6)
-    assert b >= a
 
 
 def test_log2_flag_keeps_raw_values():

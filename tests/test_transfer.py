@@ -18,8 +18,6 @@ from wetting_lab.transfer import (
     log_partition,
     midpoint_prob,
     partition_profile,
-    pinned_expectation,
-    zero_contact_moment,
 )
 
 K5 = make_binomial(0.5)
@@ -42,11 +40,19 @@ def test_wall_only_costs_mass():
         assert zj[0] <= zj[1] <= zj[2] <= zfree + 1e-14
 
 
+def _contact_moment(L, eps, wall=None):
+    """E[e^{eps N}] for the bridge, N = interior contacts with height 0, as
+    a ratio of two partition functions."""
+    pot = make_family("single", j=0, amplitude=eps)
+    return math.exp(log_partition(K5, L, wall=wall, pot=pot)
+                    - log_partition(K5, L, wall=wall))
+
+
 def test_pinned_expectation_formula_and_monotone():
     for eps in (0.0, 0.1, 0.4):
         want = (0.25 * math.exp(eps) + 0.0625) / 0.3125
-        assert pinned_expectation(K5, 2, 0, eps) == pytest.approx(want, rel=1e-13)
-    vals = [pinned_expectation(K5, 10, 1, e) for e in (0.0, 0.05, 0.1, 0.2)]
+        assert _contact_moment(2, eps, wall=0) == pytest.approx(want, rel=1e-13)
+    vals = [_contact_moment(10, e, wall=1) for e in (0.0, 0.05, 0.1, 0.2)]
     assert vals == sorted(vals)
     assert vals[0] == pytest.approx(1.0)
 
@@ -177,11 +183,16 @@ def test_midpoint_examples():
 
 
 def test_zero_contact_moment():
-    assert zero_contact_moment(K5, 2, 0.0) == 1.0
+    # E[e^{b sigma N / sqrt(L)}] for the free bridge
+    def moment(L, b):
+        return _contact_moment(L, b * math.sqrt(K5.sigma2 / L))
+
+    assert moment(2, 0.0) == 1.0
     for b in (0.3, 0.7):
-        want = (0.125 + 0.25 * math.exp(b * K5.sigma / math.sqrt(2))) / 0.375
-        assert zero_contact_moment(K5, 2, b) == pytest.approx(want, rel=1e-13)
-    vals = [zero_contact_moment(K5, 32, b) for b in (0.0, 0.2, 0.5, 1.0)]
+        # sigma / sqrt(2) = 1/2
+        want = (0.125 + 0.25 * math.exp(b / 2)) / 0.375
+        assert moment(2, b) == pytest.approx(want, rel=1e-13)
+    vals = [moment(32, b) for b in (0.0, 0.2, 0.5, 1.0)]
     assert vals == sorted(vals)
 
 
