@@ -123,7 +123,6 @@ def _cases(gap_kernel):
         ("gap-free", gap_kernel, None, None),
         ("gap-pinned_wall0", gap_kernel, 0,
          make_family("list", values=[0.15, 0.0, 0.3])),
-        ("0.5-list_wall0", K5, 0, make_family("list", values=[0.15, 0.0, 0.3])),
     ]
 
 
@@ -134,6 +133,15 @@ def test_oracle_is_the_exact_height_dp(gap_kernel):
                 z = oracle_partition(kernel, L, wall=wall, pot=pot,
                                      mode="float")
             assert _rel(z, _exact_z(kernel, L, wall, pot)) <= 1e-14, (name, L)
+
+
+def test_fraction_and_float_modes_agree():
+    # the float oracle against the exact rational height DP, which replaced
+    # the oracle's own fraction mode
+    pot = make_family("list", values=[0.15, 0.0, 0.3])
+    for L in range(1, max_enumerable_L(K5) + 1):
+        z = oracle_partition(K5, L, wall=0, pot=pot, mode="float")
+        assert _rel(z, _exact_z(K5, L, 0, pot)) <= 1e-14, L
 
 
 def test_errors_fire_with_a_warm_memo():
