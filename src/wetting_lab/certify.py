@@ -65,10 +65,13 @@ def base_scale(j: int, sigma2: float, C: float = SCALE_CONSTANT) -> int:
 
 
 @lru_cache(maxsize=128)
-def _midpoint_cached(kernel: WalkKernel, L_hi: int, j: int):
-    """Midpoint profile up to L_hi, shared by every certificate (and so by
-    every bisection point of a threshold run) on the same window."""
-    prof = midpoint_prob(kernel, L_hi, j)
+def _profile_cached(kernel: WalkKernel, L: int, j: int | None):
+    """The profiles up to L that no amplitude enters: the midpoint profile
+    at wall depth j, or for j None the free bridge's log Z.  Read-only, and
+    shared by every certificate (and so by every bisection point of a
+    threshold run) on the same kernel and length."""
+    prof = (partition_profile(kernel, L) if j is None
+            else midpoint_prob(kernel, L, j))
     prof.flags.writeable = False
     return prof
 
@@ -97,7 +100,7 @@ def base_case_check(
     top = L1 if L_cap is None else min(L1, L_cap)
     pin = partition_profile(kernel, top, wall=j,
                             pot=make_family("single", j=0, amplitude=eps))
-    free = partition_profile(kernel, top)
+    free = _profile_cached(kernel, top, None)
     best, worst = 0.0, 1
     for L in range(1, top + 1):
         r = _ratio(pin[L] - free[L])
@@ -158,7 +161,7 @@ def doubling_step_check(
     samples = range(max(L_lo + 1, 2), L_hi + 1)
     worst = 0.0
     if samples:
-        worst = float(_midpoint_cached(kernel, L_hi, j)[samples[0]:].max())
+        worst = float(_profile_cached(kernel, L_hi, j)[samples[0]:].max())
         ok &= worst <= 0.75 + _SLACK
     return DoublingStepResult(
         passed=ok, scalar_value=scalar, samples=samples,
@@ -275,7 +278,7 @@ def delocalization_certificate(
             n += 1
 
     prof_pot = partition_profile(kernel, L_max, wall=0, pot=pot)
-    prof_free = partition_profile(kernel, L_max)
+    prof_free = _profile_cached(kernel, L_max, None)
     L = 2
     grid = []
     while L < L_max:

@@ -5,6 +5,9 @@ resolved configuration; re-running from the same configuration reproduces
 the outputs byte for byte.  The one intentionally volatile field is the
 timing column of ``phase-scan``, which its --deterministic flag zeroes.
 
+The path modules ``saw`` and ``rw_oracle`` are imported by the four
+subcommands that use them, so the others do not pay for loading them.
+
 Exit codes: 0 success, 1 parameter error, 2 computational refusal (oracle or
 enumeration caps, exhausted truncation), 3 flagged-inconsistent results.
 """
@@ -30,16 +33,6 @@ from .certify import (
 from .errors import ParameterError, RefusalError, TruncationError, spec_number
 from .kernels import parse_kernel_spec
 from .potentials import parse_potential_spec, rho
-from .rw_oracle import clt_band, max_enumerable_L, oracle_partition
-from .saw import (
-    enumerate_saw,
-    grand_canonical,
-    minimal_horizontal_identity,
-    permutation_bound_delta,
-    permutation_sum,
-    regularity_stats,
-    saw_partition,
-)
 from .spectral import localization_certificate
 from .transfer import free_energy, partition_profile
 
@@ -73,6 +66,13 @@ def _numbers(text: str, what: str, kind=float) -> list:
     return values
 
 
+def _check_L_max(L_max: int) -> None:
+    """An --L-max below 1 covers no length, so a check over it would pass
+    vacuously: a parameter error."""
+    if L_max < 1:
+        raise ParameterError("--L-max must be at least 1")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -94,6 +94,7 @@ def _cmd_free_energy(args) -> int:
 
 
 def _cmd_phase_scan(args) -> int:
+    _check_L_max(args.L_max)
     amps = _numbers(args.amps, "--amps")
     points = [
         ScanPoint(kernel_spec=k, family_spec=f, amplitude=a)
@@ -109,6 +110,7 @@ def _cmd_phase_scan(args) -> int:
 
 
 def _cmd_certify_deloc(args) -> int:
+    _check_L_max(args.L_max)
     kernel = parse_kernel_spec(args.kernel)
     pot = parse_potential_spec(args.pot)
     cert = delocalization_certificate(
@@ -126,6 +128,7 @@ def _cmd_certify_loc(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    _check_L_max(args.L_max)
     kernel = parse_kernel_spec(args.kernel)
 
     def make_pot(amp: float):
@@ -145,6 +148,8 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_verify_clt(args) -> int:
+    from .rw_oracle import clt_band
+
     if args.L_max < max(1, args.L_min):
         raise ParameterError("--L-max must be at least 1 and at least --L-min")
     kernel = parse_kernel_spec(args.kernel)
@@ -161,6 +166,8 @@ def _cmd_verify_clt(args) -> int:
 
 
 def _cmd_saw_enumerate(args) -> int:
+    from .saw import enumerate_saw
+
     x = tuple(_numbers(args.x, "--x"))
     y = tuple(_numbers(args.y, "--y"))
     if len(x) != 2 or len(y) != 2:
@@ -176,6 +183,15 @@ def _cmd_saw_enumerate(args) -> int:
 
 
 def _cmd_saw_verify(args) -> int:
+    from .saw import (
+        grand_canonical,
+        minimal_horizontal_identity,
+        permutation_bound_delta,
+        permutation_sum,
+        regularity_stats,
+        saw_partition,
+    )
+
     Ls = _numbers(args.L_list, "--L-list", int)
     betas = _numbers(args.beta_list, "--beta-list")
     report: dict = {"identity": [], "permutation_bound": [], "regularity": []}
@@ -222,8 +238,9 @@ def _cmd_saw_verify(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.L_max < 1:  # nothing to compare would pass vacuously
-        raise ParameterError("--L-max must be at least 1")
+    from .rw_oracle import max_enumerable_L, oracle_partition
+
+    _check_L_max(args.L_max)
     rows = []
     worst = 0.0
     for s2 in _numbers(args.sigma2_list, "--sigma2-list"):

@@ -66,10 +66,10 @@ def _half_sums(offs: np.ndarray, pv: np.ndarray, n: int, L: int, m: int,
 
     Rows obey the wall and the reach of the remaining L - t steps, and carry
     the reward (``factor``, indexed by height + span) of their interior
-    times 1..n-1; time n is the midpoint, rewarded once by the caller.  A
-    zero-weight step keeps its 0.0 row.  Each height's rows are summed by
-    one pairwise ``ndarray.sum`` (``np.bincount`` would sum them in
-    sequence).
+    times 1..n-1; time n is the midpoint, rewarded once by the caller.  The
+    caller passes only the steps of positive weight, so no row is a path of
+    weight 0.  Each height's rows are summed by one pairwise ``ndarray.sum``
+    (``np.bincount`` would sum them in sequence).
     """
     h = np.zeros(1, dtype=offs.dtype)
     w = np.ones(1)
@@ -99,9 +99,11 @@ def _meet(kernel: WalkKernel, L: int, wall: int | None,
     a, b = (L + 1) // 2, L // 2
     span = a * m
     factor = _pot_factor_table(pot, span)
-    # narrowest integer type for the heights (|h + span| <= 2 L m)
-    offs = np.array(kernel.offsets, dtype=np.min_scalar_type(-2 * L * m))
+    # narrowest integer type for the heights (|h + span| <= 2 L m); a step
+    # of weight 0 would only add rows of weight 0
     pv = np.array(kernel.probs)
+    offs = np.array(kernel.offsets, dtype=np.min_scalar_type(-2 * L * m))
+    offs, pv = offs[pv > 0], pv[pv > 0]
     hf, F = _half_sums(offs, pv, a, L, m, wall, factor, span)
     hb, B = _half_sums(-offs, pv, b, L, m, wall, factor, span)
     mid, i, j = np.intersect1d(hf, hb, assume_unique=True, return_indices=True)

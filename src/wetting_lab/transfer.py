@@ -13,6 +13,12 @@ Conventions, fixed once for every operation here and in the oracle:
   * potential levels index absolute heights (level 0 is the start height),
     regardless of the wall depth.
 
+Each step of the sweep is one ``np.correlate`` of the scaled state vector
+with the reversed stencil, one max, one in-place division by it and a few
+scalar reads; the profiles that take no amplitude (midpoint profiles, free
+bridge log Z) are swept once per kernel and length and kept read-only in
+the one process-wide cache of ``certify``.
+
 Window truncation is monitored, not assumed: if the top rows (and, for free
 bridges, the bottom rows) ever carry a relative mass above ``DEFECT_TOL``,
 the window is doubled and the sweep rerun; exhausting the doubling budget
@@ -96,14 +102,21 @@ def _sweep(kernel: WalkKernel, L: int, window: _Window,
     t steps for t = 0, 1, ... while the window holds; the sweep never writes
     to a vector once it has been handed out.
 
+    ``np.correlate`` with the reversed stencil forms the sums
+    ``np.convolve`` forms, in the same order, without its argument checks;
+    scalars are read by ``.item()``, and with a nearest-neighbour stencil
+    the edge rows by index.
+
     Without ``on_step`` the sweep ends at an exact fixed point.  From step 2
     on every step is the same map (times ``diag``, convolve, divide by the
     max), so once a step returns its input bit for bit every later step
     returns it again with the same max; the rest of the profile is then
-    filled in one pass with the additions those steps would make."""
-    parr = kernel.prob_array()
+    filled in one pass with the additions those steps would make.  The
+    vectors hold no NaN and no -0.0, so comparing their bytes is comparing
+    their values."""
+    stencil = kernel.prob_array()[::-1].copy()
     mstep = kernel.max_step
-    n = window.n
+    n, end, walled = window.n, window.end, window.walled
     v = np.zeros(n)
     v[window.start] = 1.0
     if on_step is not None:
@@ -114,24 +127,27 @@ def _sweep(kernel: WalkKernel, L: int, window: _Window,
     for t in range(1, L + 1):
         prev = v
         u = v if (diag is None or t == 1) else v * diag
-        v = np.convolve(u, parr, mode="same")
-        m = float(v.max())
+        v = np.correlate(u, stencil, "same")
+        m = v.max().item()
         if m <= 0.0:
             return logz, False  # every path died inside the window
         v /= m
         scale += math.log(m)
-        edge = float(v[n - mstep:].sum())
-        if not window.walled:
-            edge = max(edge, float(v[:mstep].sum()))
+        if mstep == 1:
+            edge = v.item(-1) if walled else max(v.item(-1), v.item(0))
+        else:
+            edge = v[n - mstep:].sum().item()
+            if not walled:
+                edge = max(edge, v[:mstep].sum().item())
         # v.max() == 1 now, so v.sum() >= 1: edge <= defect_tol cannot trip
         # the relative test, and the sum is only needed past that point
-        if edge > defect_tol and edge / float(v.sum()) > defect_tol:
+        if edge > defect_tol and edge / v.sum().item() > defect_tol:
             return logz, True
         if on_step is not None:
             on_step(t, v)
-        ve = float(v[window.end])
+        ve = v.item(end)
         logz[t] = scale + math.log(ve) if ve > 0.0 else -math.inf
-        if m == m_prev and on_step is None and np.array_equal(v, prev):
+        if m == m_prev and on_step is None and v.tobytes() == prev.tobytes():
             if ve > 0.0:
                 # add.accumulate adds left to right, as `scale += log(m)`
                 tail = logz[t:]

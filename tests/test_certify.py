@@ -6,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from wetting_lab import certify
 from wetting_lab.certificates import (
     Certificate,
     DELOCALIZED_EMPIRICAL,
@@ -216,6 +217,33 @@ def test_wetting_threshold_contract():
     seen = {}
     for amp, verdict in br.trail:
         assert seen.setdefault(amp, verdict) == verdict
+
+
+def test_threshold_sweeps_each_free_profile_once(monkeypatch):
+    # the free bridge profiles take no amplitude: one sweep per length
+    # serves every bisection point's base case and recombined ratios
+    certify._profile_cached.cache_clear()
+    free = []
+    real = certify.partition_profile
+
+    def counting(kernel, L_max, *, wall=None, pot=None):
+        if wall is None and pot is None:
+            free.append(L_max)
+        return real(kernel, L_max, wall=wall, pot=pot)
+
+    monkeypatch.setattr(certify, "partition_profile", counting)
+    br = wetting_threshold(
+        K1, lambda amp: make_family("single", j=0, amplitude=amp),
+        0.01, 0.2, L_max=2048)
+    assert sum(v != "localized" for _, v in br.trail) >= 2
+    assert sorted(free) == sorted(set(free)) == [base_scale(0, 0.1), 2048]
+
+
+def test_cached_profiles_are_read_only():
+    for j in (None, 0):
+        prof = certify._profile_cached(K5, 64, j)
+        with pytest.raises(ValueError):
+            prof[2] = 0.5
 
 
 def test_wetting_threshold_rejects_bad_endpoints():

@@ -8,6 +8,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -129,6 +131,16 @@ def test_free_energy_huge_reward_is_parameter_error(tmp_path, capsys, eps):
      "--amps", "0.1,nan"],
     ["oracle-check", "--L-max", "0"],
     ["oracle-check", "--L-max", "-3"],
+    ["certify-deloc", "--kernel", "binomial:sigma2=0.5",
+     "--pot", "single:j=0,eps=0.01", "--L-max", "-5"],
+    ["certify-deloc", "--kernel", "binomial:sigma2=0.5",
+     "--pot", "single:j=0,eps=0.01", "--L-max", "0"],
+    ["threshold", "--kernel", "binomial:sigma2=0.1", "--family", "single:j=0",
+     "--amp-lo", "0.01", "--amp-hi", "0.2", "--L-max", "-5"],
+    ["phase-scan", "--kernel", "binomial:sigma2=0.5", "--family", "single:j=0",
+     "--amps", "0.1", "--L-max", "-5"],
+    ["phase-scan", "--kernel", "binomial:sigma2=0.5", "--family", "single:j=0",
+     "--amps", "0.1", "--L-max", "0"],
     # a list with no numbers in it
     ["saw-verify", "--beta-list", ","],
     ["saw-verify", "--L-list", ","],
@@ -140,6 +152,15 @@ def test_out_of_range_numbers_are_parameter_errors(tmp_path, capsys, argv):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("parameter error:") and "Traceback" not in err
+
+
+def test_cli_import_leaves_the_path_modules_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    code = ("import sys, wetting_lab.cli; print(sorted(m for m in "
+            "('wetting_lab.saw', 'wetting_lab.rw_oracle') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_refusal_exit_code(tmp_path, capsys):

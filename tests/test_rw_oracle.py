@@ -135,6 +135,24 @@ def test_oracle_is_the_exact_height_dp(gap_kernel):
             assert _rel(z, _exact_z(kernel, L, wall, pot)) <= 1e-14, (name, L)
 
 
+def test_zero_weight_steps_are_not_expanded(gap_kernel, monkeypatch):
+    # offsets +-3 carry weight 0: the forward half of L = 7 expands only
+    # the steps -2, 0, 2 and so ends on the 9 even heights -8..8
+    rows = []
+    half_sums = rw_oracle._half_sums
+
+    def recording(offs, pv, *args):
+        rows.append((sorted(offs.tolist()), bool((pv > 0).all())))
+        heights, sums = half_sums(offs, pv, *args)
+        rows.append(heights.tolist())
+        return heights, sums
+
+    monkeypatch.setattr(rw_oracle, "_half_sums", recording)
+    oracle_partition(gap_kernel, 7)
+    assert rows[0] == ([-2, 0, 2], True)
+    assert rows[1] == list(range(-8, 9, 2))
+
+
 def test_fraction_and_float_modes_agree():
     # the float oracle against the exact rational height DP, which replaced
     # the oracle's own fraction mode

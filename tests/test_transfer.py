@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from wetting_lab import transfer
 from wetting_lab.errors import ParameterError
 from wetting_lab.kernels import make_binomial, make_sos, parse_kernel_spec
 from wetting_lab.potentials import make_family, parse_potential_spec
@@ -79,6 +80,108 @@ def test_defect_flag_trips_on_tiny_window():
     window = _Window(base=0, n=3, start=0, end=0, walled=True)
     _, defect = _sweep(K5, 12, window, None, DEFECT_TOL)
     assert defect
+
+
+def _reference_sweep(kernel, L, window, diag, defect_tol, on_step=None):
+    """The sweep loop as it stood before the leaner step, kept verbatim:
+    the byte-identity reference of ``transfer._sweep``."""
+    parr = kernel.prob_array()
+    mstep = kernel.max_step
+    n = window.n
+    v = np.zeros(n)
+    v[window.start] = 1.0
+    if on_step is not None:
+        on_step(0, v)
+    scale = 0.0
+    m_prev = math.nan  # step 1 applies a different map: never a match
+    logz = np.full(L + 1, -math.inf)
+    for t in range(1, L + 1):
+        prev = v
+        u = v if (diag is None or t == 1) else v * diag
+        v = np.convolve(u, parr, mode="same")
+        m = float(v.max())
+        if m <= 0.0:
+            return logz, False  # every path died inside the window
+        v /= m
+        scale += math.log(m)
+        edge = float(v[n - mstep:].sum())
+        if not window.walled:
+            edge = max(edge, float(v[:mstep].sum()))
+        # v.max() == 1 now, so v.sum() >= 1: edge <= defect_tol cannot trip
+        # the relative test, and the sum is only needed past that point
+        if edge > defect_tol and edge / float(v.sum()) > defect_tol:
+            return logz, True
+        if on_step is not None:
+            on_step(t, v)
+        ve = float(v[window.end])
+        logz[t] = scale + math.log(ve) if ve > 0.0 else -math.inf
+        if m == m_prev and on_step is None and np.array_equal(v, prev):
+            if ve > 0.0:
+                # add.accumulate adds left to right, as `scale += log(m)`
+                tail = logz[t:]
+                tail[0] = scale
+                tail[1:] = math.log(m)
+                np.add.accumulate(tail, out=tail)
+                tail += math.log(ve)
+            return logz, False
+        m_prev = m
+    return logz, False
+
+
+def _with_reference(monkeypatch, fn, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(transfer, "_sweep", _reference_sweep)
+        return fn(*args, **kwargs)
+
+
+@pytest.mark.parametrize("kspec", [
+    "binomial:sigma2=0.1", "binomial:sigma2=0.5", "sos:beta=2.5"])
+def test_sweep_is_byte_identical_to_the_reference(monkeypatch, kspec):
+    kernel = parse_kernel_spec(kspec)
+    pots = [None] + [parse_potential_spec(p) for p in (
+        "single:j=0,eps=0.3", "exp:delta=1,amp=0.2", "power:delta=3,amp=0.3")]
+    L = 700
+    for wall, pot in itertools.product((None, 0, 3), pots):
+        new = partition_profile(kernel, L, wall=wall, pot=pot)
+        ref = _with_reference(monkeypatch, partition_profile, kernel, L,
+                              wall=wall, pot=pot)
+        assert new.tobytes() == ref.tobytes(), (wall, pot)
+    for j in (0, 3):
+        new = midpoint_prob(kernel, L, j)
+        ref = _with_reference(monkeypatch, midpoint_prob, kernel, L, j)
+        assert new.tobytes() == ref.tobytes(), j
+
+
+def test_fixed_point_exit_is_byte_identical_to_the_reference(monkeypatch):
+    kernel = parse_kernel_spec("binomial:sigma2=0.5")
+    pot = parse_potential_spec("single:j=0,eps=0.8")
+    L = 65536
+    steps = []
+    correlate = np.correlate
+
+    def counting(*args):
+        steps.append(1)
+        return correlate(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(transfer.np, "correlate", counting)
+        new = partition_profile(kernel, L, wall=0, pot=pot)
+    assert 0 < len(steps) < L // 8  # the sweep stopped at the fixed point
+    ref = _with_reference(monkeypatch, partition_profile, kernel, L, wall=0,
+                          pot=pot)
+    assert new.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kernel, window", [
+    (K5, _Window(base=0, n=3, start=0, end=0, walled=True)),
+    (K5, _Window(base=-2, n=5, start=2, end=2, walled=False)),
+    (make_sos(2.5), _Window(base=0, n=25, start=0, end=0, walled=True)),
+])
+def test_defect_exit_is_byte_identical_to_the_reference(kernel, window):
+    new, defect = _sweep(kernel, 40, window, None, DEFECT_TOL)
+    ref, ref_defect = _reference_sweep(kernel, 40, window, None, DEFECT_TOL)
+    assert defect and ref_defect
+    assert new.tobytes() == ref.tobytes()
 
 
 def test_full_matrix_symmetry():
