@@ -4,9 +4,11 @@
 For each sigma^2 the certificate-based bracket is compared with the
 free-energy crossing, both in rho units; the spread of the brackets across
 variances shows how uniform the transition point is in this normalisation.
-The crossing is an inertia test: its upper end is where I - A stops being
-positive definite on the window [0, 2^13], so A has an eigenvalue >= 1 and
-the free energy leaves 0.
+The crossing is an inertia test on the window [0, 2^13] only, hence the
+columns window_rho_lo/window_rho_hi: its upper end is where I - A stops
+being positive definite on that window, so A has an eigenvalue >= 1 and the
+free energy leaves 0, while its lower end would miss a bound state wider
+than the window (just above the threshold the crossing can read high).
 """
 
 import argparse
@@ -43,8 +45,8 @@ def main() -> int:
             "rho_hi": bracket.rho_hi,
             "stalled": bracket.stalled,
             "hi_route": bracket.hi_route,
-            "fe_rho_lo": rho(mk(fc_lo), s2).value,
-            "fe_rho_hi": rho(mk(fc_hi), s2).value,
+            "window_rho_lo": rho(mk(fc_lo), s2).value,
+            "window_rho_hi": rho(mk(fc_hi), s2).value,
         })
         print(rows[-1])
 

@@ -10,12 +10,12 @@ scales L_n = 2^n L_0 with L_0 = (C/2)(j+1)^2/sigma^2.  If
     wall at the two middle times, for every L in each doubling window,
 
 then the ratio bound propagates to every larger scale.  The midpoint bound
-is checked at every scale of every window, from one midpoint profile per
-window, up to a finite L_max; the verdict is therefore labelled empirical
-and carries that scale.  Localized verdicts come only from the spectral
-engine.  Multi-level potentials are first split into single-level problems
-with weights rho_j; the split needs sum rho_j <= 1, which is checked, never
-assumed.
+is checked at every scale of every window up to a finite L_max, from one
+midpoint profile per level swept to L_max (each window reads its slice);
+the verdict is therefore labelled empirical and carries that scale.
+Localized verdicts come only from the spectral engine.  Multi-level
+potentials are first split into single-level problems with weights rho_j;
+the split needs sum rho_j <= 1, which is checked, never assumed.
 """
 
 from __future__ import annotations
@@ -59,9 +59,14 @@ def _ratio(log_ratio: float) -> float:
     return math.exp(min(log_ratio, _LOG_RATIO_CAP))
 
 
-def base_scale(j: int, sigma2: float, C: float = SCALE_CONSTANT) -> int:
-    """L_1 = C (j+1)^2 / sigma^2, the end of the base-case window."""
-    return max(2, int(math.ceil(C * (j + 1) ** 2 / sigma2)))
+def _scale_L0(j: int, sigma2: float) -> float:
+    """L_0 = (C/2)(j+1)^2 / sigma^2 with C = SCALE_CONSTANT."""
+    return 0.5 * SCALE_CONSTANT * (j + 1) ** 2 / sigma2
+
+
+def base_scale(j: int, sigma2: float) -> int:
+    """L_1 = 2 L_0 = C (j+1)^2 / sigma^2, the end of the base-case window."""
+    return max(2, int(math.ceil(2.0 * _scale_L0(j, sigma2))))
 
 
 @lru_cache(maxsize=128)
@@ -69,7 +74,8 @@ def _profile_cached(kernel: WalkKernel, L: int, j: int | None):
     """The profiles up to L that no amplitude enters: the midpoint profile
     at wall depth j, or for j None the free bridge's log Z.  Read-only, and
     shared by every certificate (and so by every bisection point of a
-    threshold run) on the same kernel and length."""
+    threshold run) on the same kernel and length; a certificate sweeps each
+    to its L_max once and reads prefixes and slices of it."""
     prof = (partition_profile(kernel, L) if j is None
             else midpoint_prob(kernel, L, j))
     prof.flags.writeable = False
@@ -81,26 +87,22 @@ class BaseCaseResult:
     max_ratio: float
     worst_L: int
     L1: int
-    covered_to: int   # < L1 when capped by the caller's budget
+    covered_to: int   # < L1 when L_max ends first
 
 
-def base_case_check(
-    kernel: WalkKernel,
-    j: int,
-    b: float,
-    *,
-    L_cap: int | None = None,
-) -> BaseCaseResult:
-    """Largest ratio Z_pinned/Z_free over L up to L_1 (or the cap); the base
-    case holds for every delta with max_ratio <= 1+delta."""
+def base_case_check(kernel: WalkKernel, j: int, b: float,
+                    L_max: int) -> BaseCaseResult:
+    """Largest ratio Z_pinned/Z_free over L up to L_1, or up to L_max if that
+    is shorter; the base case holds for every delta with max_ratio <= 1+delta.
+    The free log Z is read from the one profile swept to L_max."""
     if b < 0:
         raise ParameterError("need b >= 0")
     eps = b * kernel.sigma2 / (j + 1)
     L1 = base_scale(j, kernel.sigma2)
-    top = L1 if L_cap is None else min(L1, L_cap)
+    top = min(L1, L_max)
     pin = partition_profile(kernel, top, wall=j,
                             pot=make_family("single", j=0, amplitude=eps))
-    free = _profile_cached(kernel, top, None)
+    free = _profile_cached(kernel, L_max, None)
     best, worst = 0.0, 1
     for L in range(1, top + 1):
         r = _ratio(pin[L] - free[L])
@@ -136,32 +138,24 @@ class DoublingStepResult:
     worst_midpoint: float
 
 
-def doubling_step_check(
-    kernel: WalkKernel,
-    j: int,
-    b: float,
-    delta: float,
-    n: int,
-    *,
-    C: float = SCALE_CONSTANT,
-    L_cap: int | None = None,
-) -> DoublingStepResult:
+def doubling_step_check(kernel: WalkKernel, j: int, b: float, delta: float,
+                        n: int, L_max: int) -> DoublingStepResult:
     """One induction step: scalar inequality plus the midpoint bound at every
-    scale of the n-th doubling window."""
+    scale of the n-th doubling window (L_0 2^n, L_0 2^{n+1}], cut at L_max.
+    The window reads its slice of the level's midpoint profile to L_max."""
     if n < 1:
         raise ParameterError("doubling steps start at n=1")
     eps = b * kernel.sigma2 / (j + 1)
-    L0 = 0.5 * C * (j + 1) ** 2 / kernel.sigma2
+    L0 = _scale_L0(j, kernel.sigma2)
     L_lo = int(math.ceil(L0 * 2 ** n))
-    L_hi = int(math.ceil(L0 * 2 ** (n + 1)))
-    if L_cap is not None:
-        L_hi = min(L_hi, L_cap)
+    L_hi = min(int(math.ceil(L0 * 2 ** (n + 1))), L_max)
     scalar = scalar_step_bound(delta, eps)
     ok = scalar <= 1.0 + delta + _SLACK
     samples = range(max(L_lo + 1, 2), L_hi + 1)
     worst = 0.0
     if samples:
-        worst = float(_profile_cached(kernel, L_hi, j)[samples[0]:].max())
+        prof = _profile_cached(kernel, L_max, j)
+        worst = float(prof[samples.start:samples.stop].max())
         ok &= worst <= 0.75 + _SLACK
     return DoublingStepResult(
         passed=ok, scalar_value=scalar, samples=samples,
@@ -232,7 +226,7 @@ def delocalization_certificate(
 
     # the base ratios do not depend on delta: measure them first, then pick
     # delta strictly inside the window they leave with the scalar step
-    base = {j: base_case_check(kernel, j, b, L_cap=L_max) for j in levels}
+    base = {j: base_case_check(kernel, j, b, L_max) for j in levels}
     if delta is None:
         delta_lo = max([0.0] + [r.max_ratio - 1.0 for r in base.values()])
         delta_hi = min([math.inf] + [max_feasible_delta(b * sigma2 / (j + 1))
@@ -257,14 +251,14 @@ def delocalization_certificate(
         ))
         if not ok:
             continue
-        L0 = 0.5 * SCALE_CONSTANT * (j + 1) ** 2 / sigma2
+        L0 = _scale_L0(j, sigma2)
         n = 1
         while L0 * 2 ** n < L_max:
-            step = doubling_step_check(kernel, j, b, delta, n, L_cap=L_max)
+            step = doubling_step_check(kernel, j, b, delta, n, L_max)
             scales = step.samples
             span = f"L={scales[0]}..{scales[-1]}" if scales else "no scale"
             evidence.append(Evidence(
-                scale=min(L_max, int(math.ceil(L0 * 2 ** (n + 1)))),
+                scale=scales.stop - 1,
                 check=f"doubling[j={j},n={n}]",
                 measured=min(max(step.scalar_value / (1.0 + delta),
                                  step.worst_midpoint / 0.75), _RATIO_MAX),
@@ -318,6 +312,36 @@ class ThresholdBracket:
     trail: tuple[tuple[float, str], ...]  # (amplitude, verdict) in test order
 
 
+def _bisect(above, amp_lo: float, amp_hi: float, tol: float,
+            sides: tuple[str, str]) -> tuple[float, float, bool]:
+    """Halve [amp_lo, amp_hi] until its width is at most tol * lo.
+
+    ``above(amp)`` is False below the transition, True above it, and None
+    where it cannot tell, which stops the bracket there (stalled).  The
+    ends must lie on opposite sides, named by ``sides`` in the error.
+    Returns (lo, hi, stalled)."""
+    if not (0 < amp_lo < amp_hi):
+        raise ParameterError("need 0 < amp_lo < amp_hi")
+    positive_finite(tol, "tol")
+    if above(amp_lo) is not False:
+        raise ParameterError(f"amp_lo={amp_lo} is not {sides[0]}")
+    if above(amp_hi) is not True:
+        raise ParameterError(f"amp_hi={amp_hi} is not {sides[1]}")
+    lo, hi = amp_lo, amp_hi
+    for _ in range(_MAX_BISECT):
+        if hi - lo <= tol * lo:
+            break
+        mid = 0.5 * (lo + hi)
+        side = above(mid)
+        if side is None:
+            return lo, hi, True
+        if side:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, False
+
+
 def wetting_threshold(
     kernel: WalkKernel,
     make_pot,
@@ -335,43 +359,24 @@ def wetting_threshold(
     to 1.  If a midpoint is neither certifiable nor localized
     the bracket stops shrinking and is returned with ``stalled`` set.
     """
-    if not (0 < amp_lo < amp_hi):
-        raise ParameterError("need 0 < amp_lo < amp_hi")
-    positive_finite(tol, "tol")
     trail: list[tuple[float, str]] = []
+    hi_route = ""  # every localized amplitude becomes the upper end
 
-    def classify(amp: float) -> tuple[str, str]:
+    def localized(amp: float) -> bool | None:
+        nonlocal hi_route
         pot = make_pot(amp)
         loc = localization_certificate(kernel, pot)
         if loc.verdict == LOCALIZED:
             trail.append((amp, "localized"))
-            return "localized", loc.spectral["route"]
+            hi_route = loc.spectral["route"]
+            return True
         dl = delocalization_certificate(kernel, pot, L_max=L_max)
         trail.append((amp, dl.verdict))
-        return dl.verdict, ""
+        return False if dl.verdict == DELOCALIZED_EMPIRICAL else None
 
-    lo_v, _ = classify(amp_lo)
-    if lo_v != DELOCALIZED_EMPIRICAL:
-        raise ParameterError(
-            f"amp_lo={amp_lo} is not delocalized-empirical (got {lo_v})")
-    hi_v, hi_route = classify(amp_hi)
-    if hi_v != "localized":
-        raise ParameterError(f"amp_hi={amp_hi} is not spectrally localized")
-
-    lo, hi = amp_lo, amp_hi
-    stalled = False
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= tol * lo:
-            break
-        mid = 0.5 * (lo + hi)
-        verdict, route = classify(mid)
-        if verdict == "localized":
-            hi, hi_route = mid, route
-        elif verdict == DELOCALIZED_EMPIRICAL:
-            lo = mid
-        else:
-            stalled = True
-            break
+    lo, hi, stalled = _bisect(
+        localized, amp_lo, amp_hi, tol,
+        ("delocalized-empirical", "spectrally localized"))
     return ThresholdBracket(
         amp_lo=lo,
         amp_hi=hi,
@@ -400,25 +405,12 @@ def free_energy_crossing(
     exactly 1), while at the lower end I - A is positive definite on the
     window, which would miss only a bound state wider than 2^13.
     """
-    if not (0 < amp_lo < amp_hi):
-        raise ParameterError("need 0 < amp_lo < amp_hi")
-    positive_finite(tol, "tol")
-
     def positive(amp: float) -> bool:
         op = pinned_operator(kernel, make_pot(amp), _EIG_H_CAP)
         return _min_pivot(op, 1.0) <= 0.0
 
-    if positive(amp_lo) or not positive(amp_hi):
-        raise ParameterError("crossing endpoints do not separate")
-    lo, hi = amp_lo, amp_hi
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= tol * lo:
-            break
-        mid = 0.5 * (lo + hi)
-        if positive(mid):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi, _ = _bisect(positive, amp_lo, amp_hi, tol,
+                        ("at f = 0 on the window", "at f > 0 on the window"))
     return lo, hi
 
 
@@ -440,7 +432,7 @@ class ScanPoint:
 
 
 def _scan_one(args) -> dict:
-    point, L_max, fe_cross, deterministic_timing = args
+    point, L_max, deterministic_timing = args
     t0 = time.perf_counter()
     row = {c: "" for c in SCAN_COLUMNS}
     row["kernel"] = point.kernel_spec
@@ -457,7 +449,7 @@ def _scan_one(args) -> dict:
         row["verdict_spectral"] = loc.verdict
         dl = delocalization_certificate(kernel, pot, L_max=L_max)
         row["verdict_induction"] = dl.verdict
-        fe = free_energy(kernel, pot, L_cross=fe_cross)
+        fe = free_energy(kernel, pot, L_cross=1024)
         row["f_hat"] = fe.value
         row["f_err"] = max(fe.gap, fe.residual)
         if loc.verdict == LOCALIZED and dl.verdict == DELOCALIZED_EMPIRICAL:
@@ -474,13 +466,13 @@ def phase_scan(
     points: list[ScanPoint],
     *,
     L_max: int = 1024,
-    fe_cross: int = 1024,
     workers: int = 1,
     deterministic_timing: bool = False,
 ) -> list[dict]:
     """One row per grid point, in input (row-major) order regardless of
-    scheduling; per-point errors are recorded in-row and the scan continues."""
-    jobs = [(p, L_max, fe_cross, deterministic_timing) for p in points]
+    scheduling; per-point errors are recorded in-row and the scan continues.
+    f_hat's cross-check slope is taken at L_cross = 1024."""
+    jobs = [(p, L_max, deterministic_timing) for p in points]
     if workers <= 1 or len(jobs) <= 1:
         return [_scan_one(j) for j in jobs]
     from concurrent.futures import ProcessPoolExecutor

@@ -29,8 +29,9 @@ _BASE_CAP_STEPS = 14  # for a 3-point stencil
 
 
 def max_enumerable_L(kernel: WalkKernel) -> int:
-    """Length cap keeping the enumeration tree comparable to 3^14 nodes."""
-    width = 2 * kernel.max_step + 1
+    """Length cap keeping the enumeration tree comparable to 3^14 nodes: it
+    branches once per offset of positive weight (``_meet`` expands no other)."""
+    width = sum(p > 0 for p in kernel.probs)
     return max(1, int(_BASE_CAP_STEPS * math.log(3) / math.log(width)))
 
 

@@ -23,7 +23,7 @@ avoided levels, rewards and ``enumerate_saw`` get the full search.
 
 The minimal-horizontal identity needs no search: its paths are one signed
 vertical run per column, so their counts by excess length have a closed
-form (``_excess_counts``) and their tail a Rankin bound.
+form (``_excess_count``) and their tail a Rankin bound.
 
 The length weight stays out of the search: every ensemble sum is a power
 series in e^{-beta} whose coefficients, the sums S[n] over paths of length

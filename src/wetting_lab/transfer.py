@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, TruncationError, positive_finite
+from .errors import (ParameterError, RefusalError, TruncationError,
+                     positive_finite)
 from .kernels import WalkKernel
 from .potentials import PinningPotential
 from .spectral import _EIG_H_CAP, _eigen_windows
@@ -276,7 +277,9 @@ def free_energy(
     The floor at 0 is sound: the potential is nonnegative
     so the true rate is >= 0, and truncation approaches it from below in the
     delocalized phase.  Cross-check: two-point slope of log Z at L_cross.
-    Disagreement beyond 10*tol flags the result but still returns it.
+    Disagreement beyond 10*tol flags the result but still returns it; a
+    log Z that is not finite there (a reward so large that the sweep's
+    weight at height 0 falls below the float range) refuses the slope.
     """
     positive_finite(tol, "tol")
 
@@ -302,6 +305,9 @@ def free_energy(
     h, eig = windows[-1]
     primary = rate(eig)
     prof = partition_profile(kernel, 2 * L_cross, wall=0, pot=pot)
+    if not np.isfinite(prof[[L_cross, 2 * L_cross]]).all():
+        raise RefusalError(f"log Z at L={L_cross} or {2 * L_cross} is not "
+                           "finite in the sweep; no cross-check slope")
     cross_raw = float(prof[2 * L_cross] - prof[L_cross]) / L_cross
     gap = abs(primary - max(0.0, cross_raw))
     return FreeEnergyEstimate(

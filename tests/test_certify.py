@@ -36,13 +36,13 @@ K1 = make_binomial(0.1)
 
 
 def test_base_case_b0_always_passes():
-    res = base_case_check(K5, 1, 0.0)
+    res = base_case_check(K5, 1, 0.0, 64)
     assert res.max_ratio <= 1.0 + 0.05
     assert res.max_ratio <= 1.0 + 1e-12
 
 
 def test_base_case_moderate_b():
-    res = base_case_check(K5, 0, 0.1)
+    res = base_case_check(K5, 0, 0.1, 16)
     assert res.max_ratio <= 1.0 + 1.0
     # the L=2 point of the same ratio, by hand
     eps = 0.1 * 0.5
@@ -56,7 +56,7 @@ def test_base_case_moderate_b():
 
 
 def test_base_case_fails_far_supercritical():
-    res = base_case_check(K5, 0, 5.0)
+    res = base_case_check(K5, 0, 5.0, 16)
     assert res.max_ratio > 1.0 + 1.0
 
 
@@ -75,7 +75,8 @@ def test_scalar_step_examples():
 
 
 def test_doubling_step_passes_normally():
-    res = doubling_step_check(K5, 0, 0.1, 0.1, 1)
+    # the window reads its slice of the profile swept to L_max = 64
+    res = doubling_step_check(K5, 0, 0.1, 0.1, 1, 64)
     assert res.passed
     assert res.worst_midpoint <= 0.75
     assert res.scalar_value <= 1.1
@@ -85,9 +86,11 @@ def test_doubling_step_passes_normally():
         midpoint_prob(K5, L, 0)[L] for L in res.samples), rel=1e-14)
 
 
-def test_doubling_step_fails_when_wall_unfelt():
+def test_doubling_step_fails_when_wall_unfelt(monkeypatch):
     # tiny scale constant puts every L of the window below the wall's reach
-    res = doubling_step_check(K5, 10, 0.1, 0.3, 1, C=0.02)
+    monkeypatch.setattr(certify, "SCALE_CONSTANT", 0.02)
+    res = doubling_step_check(K5, 10, 0.1, 0.3, 1, 64)
+    assert list(res.samples) == list(range(6, 11))
     assert res.worst_midpoint == 1.0
     assert not res.passed
 
@@ -219,24 +222,57 @@ def test_wetting_threshold_contract():
         assert seen.setdefault(amp, verdict) == verdict
 
 
-def test_threshold_sweeps_each_free_profile_once(monkeypatch):
-    # the free bridge profiles take no amplitude: one sweep per length
-    # serves every bisection point's base case and recombined ratios
+def _count_profile_sweeps(monkeypatch):
+    """Record the free-bridge (L_max) and midpoint (L, j) sweeps that
+    certify runs from an empty profile cache."""
     certify._profile_cached.cache_clear()
-    free = []
-    real = certify.partition_profile
+    free, mid = [], []
+    real_free, real_mid = certify.partition_profile, certify.midpoint_prob
 
-    def counting(kernel, L_max, *, wall=None, pot=None):
+    def counting_free(kernel, L_max, *, wall=None, pot=None):
         if wall is None and pot is None:
             free.append(L_max)
-        return real(kernel, L_max, wall=wall, pot=pot)
+        return real_free(kernel, L_max, wall=wall, pot=pot)
 
-    monkeypatch.setattr(certify, "partition_profile", counting)
+    def counting_mid(kernel, L, j):
+        mid.append((L, j))
+        return real_mid(kernel, L, j)
+
+    monkeypatch.setattr(certify, "partition_profile", counting_free)
+    monkeypatch.setattr(certify, "midpoint_prob", counting_mid)
+    return free, mid
+
+
+def test_threshold_sweeps_each_free_profile_once(monkeypatch):
+    # the profiles take no amplitude: one free-bridge sweep to L_max serves
+    # every bisection point's base case (a prefix) and recombined ratios,
+    # and one midpoint sweep to L_max every doubling window (a slice)
+    free, mid = _count_profile_sweeps(monkeypatch)
     br = wetting_threshold(
         K1, lambda amp: make_family("single", j=0, amplitude=amp),
         0.01, 0.2, L_max=2048)
     assert sum(v != "localized" for _, v in br.trail) >= 2
-    assert sorted(free) == sorted(set(free)) == [base_scale(0, 0.1), 2048]
+    assert free == [2048]
+    assert mid == [(2048, 0)]
+
+
+def test_deloc_exhaustive_sweeps_one_midpoint_profile(monkeypatch):
+    # the benchmark's exhaustive certificate: seven doubling windows
+    # (8 2^n, 8 2^{n+1}], the last cut at L_max, read one profile
+    pot = parse_potential_spec("single:j=0,eps=0.05")
+    free, mid = _count_profile_sweeps(monkeypatch)
+    cert = delocalization_certificate(K5, pot, L_max=1536)
+    assert cert.verdict == DELOCALIZED_EMPIRICAL
+    assert free == [1536] and mid == [(1536, 0)]
+    rows = [e for e in cert.evidence if e.check.startswith("doubling")]
+    assert [e.scale for e in rows] == [32, 64, 128, 256, 512, 1024, 1536]
+    # each window's slice matches a profile swept to the window's end alone
+    for n, e in enumerate(rows, start=1):
+        step = doubling_step_check(K5, 0, cert.params["b"],
+                                   cert.params["delta"], n, 1536)
+        assert step.samples.stop - 1 == e.scale
+        alone = midpoint_prob(K5, e.scale, 0)[step.samples.start:].max()
+        assert step.worst_midpoint == pytest.approx(alone, rel=1e-15)
 
 
 def test_cached_profiles_are_read_only():
@@ -288,7 +324,7 @@ def test_closed_form_threshold_inside_both_brackets(j, s2):
 def test_phase_scan_rows_and_consistency():
     pts = [ScanPoint("binomial:sigma2=0.5", "single:j=0", a)
            for a in (0.0, 0.05, 1.0)]
-    rows = phase_scan(pts, L_max=256, fe_cross=256, deterministic_timing=True)
+    rows = phase_scan(pts, L_max=256, deterministic_timing=True)
     assert len(rows) == 3
     assert [r["amplitude"] for r in rows] == [0.0, 0.05, 1.0]
     for r in rows:
@@ -304,7 +340,7 @@ def test_phase_scan_rows_and_consistency():
 def test_phase_between_verdicts_monotone_along_amplitude_ray():
     pts = [ScanPoint("binomial:sigma2=0.5", "single:j=0", a)
            for a in (0.2, 0.4, 0.8, 1.6)]
-    rows = phase_scan(pts, L_max=128, fe_cross=128, deterministic_timing=True)
+    rows = phase_scan(pts, L_max=128, deterministic_timing=True)
     seen_localized = False
     for r in rows:
         if seen_localized:
@@ -316,7 +352,7 @@ def test_phase_between_verdicts_monotone_along_amplitude_ray():
 def test_phase_scan_process_pool_matches_serial():
     pts = [ScanPoint("binomial:sigma2=0.5", "single:j=0", a)
            for a in (0.0, 1.0)]
-    kw = dict(L_max=128, fe_cross=128, deterministic_timing=True)
+    kw = dict(L_max=128, deterministic_timing=True)
     assert phase_scan(pts, workers=2, **kw) == phase_scan(pts, **kw)
 
 
@@ -328,9 +364,12 @@ def test_phase_scan_empty_and_errors_in_row():
     assert "ParameterError" in rows[0]["error"]
 
 
-def test_base_scale_formula():
+def test_base_scale_formula(monkeypatch):
     assert base_scale(0, 0.5) == 16
-    assert base_scale(2, 0.25, C=8.0) == math.ceil(8 * 9 / 0.25)
+    assert base_scale(2, 0.25) == math.ceil(8 * 9 / 0.25)
+    # L_1 = C (j+1)^2 / sigma^2 reads the module's scale constant
+    monkeypatch.setattr(certify, "SCALE_CONSTANT", 0.02)
+    assert base_scale(10, 0.5) == math.ceil(0.02 * 121 / 0.5)
 
 
 def test_certificates_work_on_geometric_kernel():

@@ -49,6 +49,7 @@ def test_walled_counts_are_motzkin():
 
 
 def test_refusal_beyond_cap():
+    assert max_enumerable_L(K5) == 14
     with pytest.raises(RefusalError):
         oracle_partition(K5, max_enumerable_L(K5) + 1)
     sos = make_sos(3.0, tail_tol=1e-6)
@@ -151,6 +152,8 @@ def test_zero_weight_steps_are_not_expanded(gap_kernel, monkeypatch):
     oracle_partition(gap_kernel, 7)
     assert rows[0] == ([-2, 0, 2], True)
     assert rows[1] == list(range(-8, 9, 2))
+    # so the cap counts the three positive-weight steps, as for binomial
+    assert max_enumerable_L(gap_kernel) == max_enumerable_L(K5) == 14
 
 
 def test_fraction_and_float_modes_agree():

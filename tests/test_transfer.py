@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wetting_lab import transfer
-from wetting_lab.errors import ParameterError
+from wetting_lab.errors import ParameterError, RefusalError
 from wetting_lab.kernels import make_binomial, make_sos, parse_kernel_spec
 from wetting_lab.potentials import make_family, parse_potential_spec
 from wetting_lab.rw_oracle import oracle_partition
@@ -389,6 +389,14 @@ def test_free_energy_monotone_and_log2_note():
     # stuck-at-level lower bound: log p(0) + eps > 0
     assert fe.value >= math.log(K5.prob(0)) + 1.0 - 0.01
     assert any("log 2" in line for line in fe.trace)
+
+
+def test_free_energy_refuses_a_cross_check_below_the_float_range():
+    # e^246 at level 4 leaves the height-0 weight of the scaled sweep below
+    # e^-709 of the peak, so log Z reads -inf: the slope would be NaN
+    pot = make_family("single", j=4, amplitude=246.0)
+    with pytest.raises(RefusalError, match="cross-check"):
+        free_energy(make_binomial(0.25), pot, L_cross=64)
 
 
 def test_free_energy_first_window_stays_under_the_cap():
