@@ -39,13 +39,19 @@ from .transfer import free_energy, partition_profile
 
 def _write_json(out_dir: str, name: str, obj) -> None:
     """Write ``obj``, a dict or a dataclass record, as indented sorted-key
-    JSON with a final newline; the one writer of every JSON output."""
+    strict JSON with a final newline; the one writer of every JSON output.
+    A NaN or infinity writes nothing: in run.json it came from an option
+    (ParameterError), in an output from the computation (RefusalError)."""
     if is_dataclass(obj):
         obj = asdict(obj)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        error = ParameterError if name == "run.json" else RefusalError
+        raise error(f"{name} would hold a non-finite number; nothing written")
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, name), "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path: str, columns, rows) -> None:
@@ -353,14 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, *specs):  # then each named spec as a required option
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument("--workers", type=int, default=1)
+        for name in specs:
+            p.add_argument(f"--{name}", required=True)
 
     p = sub.add_parser("free-energy", help="growth-rate estimate")
-    common(p)
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--pot", required=True)
+    common(p, "kernel", "pot")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--L-cross", type=int, default=4096)
     p.set_defaults(func=_cmd_free_energy)
@@ -376,9 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_phase_scan)
 
     p = sub.add_parser("certify-deloc", help="scale-doubling certificate")
-    common(p)
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--pot", required=True)
+    common(p, "kernel", "pot")
     p.add_argument("--b", type=float, default=None,
                    help="decoupling constant (default: rho's upper bound, at "
                         "least 1e-9)")
@@ -390,15 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify_deloc)
 
     p = sub.add_parser("certify-loc", help="spectral localization certificate")
-    common(p)
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--pot", required=True)
+    common(p, "kernel", "pot")
     p.set_defaults(func=_cmd_certify_loc)
 
     p = sub.add_parser("threshold", help="bracket the wetting threshold")
-    common(p)
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--family", required=True)
+    common(p, "kernel", "family")
     p.add_argument("--amp-lo", type=float, required=True)
     p.add_argument("--amp-hi", type=float, required=True)
     p.add_argument("--tol", type=float, default=0.05)
@@ -406,8 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("verify-clt", help="normalised bridge mass over L")
-    common(p)
-    p.add_argument("--kernel", required=True)
+    common(p, "kernel")
     p.add_argument("--L-min", type=int, default=1)
     p.add_argument("--L-max", type=int, default=16384)
     p.set_defaults(func=_cmd_verify_clt)

@@ -90,12 +90,13 @@ def _half_sums(offs: np.ndarray, pv: np.ndarray, n: int, L: int, m: int,
     return heights, np.array([w[i:j].sum() for i, j in zip(starts, ends)])
 
 
+@np.errstate(over="ignore")  # an overflow ends as inf, refused below
 def _meet(kernel: WalkKernel, L: int, wall: int | None,
           pot: PinningPotential | None) -> float:
     """sum_h F(h) e^{eps(h)} B(h) over the ceil(L/2) steps from the start
     (F) and the floor(L/2) steps back from the end (B, offsets negated, so
     no symmetry of the kernel is assumed); the midpoint is interior, and
-    rewarded, only when L >= 2."""
+    rewarded, only when L >= 2.  A sum past the float range is refused."""
     m = kernel.max_step
     a, b = (L + 1) // 2, L // 2
     span = a * m
@@ -111,7 +112,11 @@ def _meet(kernel: WalkKernel, L: int, wall: int | None,
     z = F[i] * B[j]
     if b >= 1 and factor is not None:
         z = z * factor[mid + span]
-    return float(z.sum())
+    total = float(z.sum())
+    if not math.isfinite(total):
+        raise RefusalError(f"the bridge weight at L={L} is beyond the float "
+                           "range (oracles refuse rather than approximate)")
+    return total
 
 
 def oracle_partition(

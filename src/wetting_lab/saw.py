@@ -73,13 +73,6 @@ class LatticePath:
 
     vertices: tuple[tuple[int, int], ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    def edges(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
-        return tuple(zip(self.vertices[:-1], self.vertices[1:]))
-
     def to_line(self) -> str:
         """Dump format: 'u0,y0;u1,y1;...' with x doubled to stay integral."""
         return ";".join(f"{u},{y}" for u, y in self.vertices)
@@ -503,11 +496,6 @@ def _excess_count(L: int, v: int) -> int:
                * math.comb(s - 1, a - 1) * math.comb(s - 1, b - 1)
                for a in range(1, min(s, L) + 1)
                for b in range(1, min(s, L - a) + 1))
-
-
-def _excess_counts(L: int, top: int) -> list[int]:
-    """N_0 ... N_top (see ``_excess_count``)."""
-    return [_excess_count(L, v) for v in range(top + 1)]
 
 
 def _runs_tail_bound(L: int, cap: int, beta: float) -> float:

@@ -71,16 +71,6 @@ class PinnedOperator:
         e = self.exp_half
         return e * _apply_stencil(e * x, self.stencil, self.max_step)
 
-    def dense(self) -> np.ndarray:
-        """Explicit matrix; intended for small dims and tests."""
-        m = self.max_step
-        out = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(max(0, i - m), min(self.dim, i + m + 1)):
-                out[i, j] = (self.stencil[i - j + m] * self.exp_half[i]
-                             * self.exp_half[j])
-        return out
-
 
 def pinned_operator(kernel: WalkKernel, pot: PinningPotential | None,
                     h_max: int) -> PinnedOperator:

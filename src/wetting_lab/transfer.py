@@ -19,15 +19,12 @@ scalar reads; the profiles that take no amplitude (midpoint profiles, free
 bridge log Z) are swept once per kernel and length and kept read-only in
 the one process-wide cache of ``certify``.
 
-Window truncation is monitored, not assumed: if the top rows (and, for free
-bridges, the bottom rows) ever carry a relative mass above ``DEFECT_TOL``,
-the window is doubled and the sweep rerun; exhausting the doubling budget
-raises TruncationError with the partial result attached.
-
-In the localized phase the scaled state vector settles on the top
-eigenvector within a few thousand steps.  Once one step returns its input bit
-for bit, the sweep stops there and fills the rest of the profile with the
-same additions the remaining steps would make, so the result is unchanged.
+Window truncation is monitored, not assumed: a profile sweep grows its
+window in place from the mass its edge rows carry, and stops at an exact
+fixed point, which a localized sweep reaches within a few thousand steps
+(see ``_sweep``).  Past ``_STATE_CAP`` rows, or after 8 doublings of the
+midpoint sweep's fixed window, a relative edge mass above ``DEFECT_TOL``
+raises TruncationError.
 """
 
 from __future__ import annotations
@@ -45,6 +42,7 @@ from .spectral import _EIG_H_CAP, _eigen_windows
 
 DEFECT_TOL = 1e-12
 _STATE_CAP = 1 << 17
+_GROW = float(1 << 53)  # edge mass times this above the reference grows
 _EPS_MAX = math.log(np.finfo(float).max)  # largest reward with finite e^eps
 _EIG_TOL = 1e-10    # Lanczos residual tolerance of free_energy
 
@@ -64,20 +62,17 @@ class _Window:
 
 
 def _make_window(kernel: WalkKernel, L: int, wall: int | None,
-                 pot: PinningPotential | None, grow: int) -> _Window:
+                 pot: PinningPotential | None) -> _Window:
+    """The floor window of an L-step sweep, from the start up (and, with no
+    wall, down): the rewarded levels a bridge of length L can reach, plus
+    4 max_step rows, and at least max(4 max_step, 16) rows."""
     m = kernel.max_step
-    spread = int(math.ceil(8.0 * math.sqrt(kernel.sigma2 * max(L, 1)))) + 2 * m
-    # the window must cover any reachable rewarded level, not just the
-    # diffusive range, or a strong high reward could be silently cut off
+    spread = max(4 * m, 16)
     if pot is not None and pot.support:
-        reach = (L // 2) * m
-        spread = max(spread, min(pot.support[-1], reach) + 4 * m)
-    spread = max(spread, 4 * m, 16) << grow
+        spread = max(spread, min(pot.support[-1], (L // 2) * m) + 4 * m)
     if wall is not None:
-        n = wall + spread + 1
-        return _Window(base=-wall, n=n, start=wall, end=wall, walled=True)
-    n = 2 * spread + 1
-    return _Window(base=-spread, n=n, start=spread, end=spread, walled=False)
+        return _Window(-wall, wall + spread + 1, wall, wall, walled=True)
+    return _Window(-spread, 2 * spread + 1, spread, spread, walled=False)
 
 
 def _diag_for(window: _Window,
@@ -95,28 +90,41 @@ def _diag_for(window: _Window,
     return np.exp(eps)
 
 
+def _min_positive(s: np.ndarray) -> float:
+    """Smallest positive entry of ``s``, inf if none."""
+    return s.min(where=s > 0.0, initial=math.inf).item()
+
+
 def _sweep(kernel: WalkKernel, L: int, window: _Window,
-           diag: np.ndarray | None, defect_tol: float, on_step=None):
+           pot: PinningPotential | None, defect_tol: float, on_step=None):
     """Run L steps; return (logZ profile for lengths 1..L, defect flag).
 
     ``on_step(t, v)``, if given, is called with the scaled state vector after
-    t steps for t = 0, 1, ... while the window holds; the sweep never writes
-    to a vector once it has been handed out.
+    t steps for t = 0, 1, ..., which the sweep never writes to afterwards.
+    The window then stays fixed, and edge rows with a relative mass above
+    ``defect_tol`` end the sweep with the flag set.
+
+    Without ``on_step`` the window grows in place: when a step leaves its
+    edge rows more than 2^-53 of the smallest positive entry on the read-out
+    row (height 0) and the rewarded rows a bridge of length L can reach
+    (read, as one slice, only when the edge carries mass), the open sides
+    double and the step is redone from the zero-padded previous vector; past
+    ``_STATE_CAP`` rows the ``defect_tol`` test decides.  Such a sweep also
+    ends at an exact fixed point: from step 2 on every step is the same map,
+    so once a step returns its input bit for bit (the vectors hold no NaN
+    and no -0.0), every later one returns it with the same max, and the rest
+    of the profile is filled with the additions those steps would make.
 
     ``np.correlate`` with the reversed stencil forms the sums
     ``np.convolve`` forms, in the same order, without its argument checks;
-    scalars are read by ``.item()``, and with a nearest-neighbour stencil
-    the edge rows by index.
-
-    Without ``on_step`` the sweep ends at an exact fixed point.  From step 2
-    on every step is the same map (times ``diag``, convolve, divide by the
-    max), so once a step returns its input bit for bit every later step
-    returns it again with the same max; the rest of the profile is then
-    filled in one pass with the additions those steps would make.  The
-    vectors hold no NaN and no -0.0, so comparing their bytes is comparing
-    their values."""
+    scalars are read by ``.item()``, the max at ``argmax``."""
     stencil = kernel.prob_array()[::-1].copy()
     mstep = kernel.max_step
+    grows = on_step is None
+    # the rewarded levels above height 0 (the read-out row) within reach
+    top = [j for j in (pot.support if pot else ()) if 0 < j <= L // 2 * mstep]
+    lo, hi = (top[0], top[-1] + 1) if top else (0, 0)
+    diag = _diag_for(window, pot)
     n, end, walled = window.n, window.end, window.walled
     v = np.zeros(n)
     v[window.start] = 1.0
@@ -127,28 +135,43 @@ def _sweep(kernel: WalkKernel, L: int, window: _Window,
     logz = np.full(L + 1, -math.inf)
     for t in range(1, L + 1):
         prev = v
-        u = v if (diag is None or t == 1) else v * diag
-        v = np.correlate(u, stencil, "same")
-        m = v.max().item()
-        if m <= 0.0:
-            return logz, False  # every path died inside the window
-        v /= m
-        scale += math.log(m)
-        if mstep == 1:
-            edge = v.item(-1) if walled else max(v.item(-1), v.item(0))
-        else:
-            edge = v[n - mstep:].sum().item()
-            if not walled:
-                edge = max(edge, v[:mstep].sum().item())
+        while True:
+            u = prev if (diag is None or t == 1) else prev * diag
+            v = np.correlate(u, stencil, "same")
+            m = v.item(v.argmax())  # the max, without a ufunc reduction
+            if m <= 0.0:
+                return logz, False  # every path died inside the window
+            v /= m
+            if mstep == 1:
+                edge = v.item(-1) if walled else max(v.item(-1), v.item(0))
+            else:
+                edge = v[n - mstep:].sum().item()
+                if not walled:
+                    edge = max(edge, v[:mstep].sum().item())
+            ve = v.item(end)
+            over = edge * _GROW
+            if not (grows and over > 0.0 and (
+                    over > ve > 0.0
+                    or hi and over > _min_positive(v[end + lo:end + hi]))):
+                break
+            # each open side twice as far from the start
+            low, high = (0 if walled else window.start), n - 1 - window.start
+            if n + low + high > _STATE_CAP:
+                break
+            prev = np.pad(prev, (low, high))
+            window = _Window(window.base - low, n + low + high,
+                             window.start + low, end + low, walled)
+            n, end = window.n, window.end
+            diag = _diag_for(window, pot)
         # v.max() == 1 now, so v.sum() >= 1: edge <= defect_tol cannot trip
         # the relative test, and the sum is only needed past that point
         if edge > defect_tol and edge / v.sum().item() > defect_tol:
             return logz, True
+        scale += math.log(m)
         if on_step is not None:
             on_step(t, v)
-        ve = v.item(end)
         logz[t] = scale + math.log(ve) if ve > 0.0 else -math.inf
-        if m == m_prev and on_step is None and v.tobytes() == prev.tobytes():
+        if m == m_prev and grows and v.tobytes() == prev.tobytes():
             if ve > 0.0:
                 # add.accumulate adds left to right, as `scale += log(m)`
                 tail = logz[t:]
@@ -173,19 +196,13 @@ def partition_profile(
         raise ParameterError("L_max must be at least 1")
     if wall is not None and wall < 0:
         raise ParameterError("wall depth must be nonnegative")
-    last = None
-    for grow in range(8):
-        window = _make_window(kernel, L_max, wall, pot, grow)
-        if window.n > _STATE_CAP:
-            break
-        diag = _diag_for(window, pot)
-        logz, defect = _sweep(kernel, L_max, window, diag, DEFECT_TOL)
-        last = logz
-        if not defect:
-            return logz
-    raise TruncationError(
-        f"window doubling exhausted at L_max={L_max}", partial=last
-    )
+    window = _make_window(kernel, L_max, wall, pot)
+    logz, defect = ((None, True) if window.n > _STATE_CAP else
+                    _sweep(kernel, L_max, window, pot, DEFECT_TOL))
+    if defect:
+        raise TruncationError(f"window growth exhausted at L_max={L_max}",
+                              partial=logz)
+    return logz
 
 
 def log_partition(

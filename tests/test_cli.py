@@ -154,6 +154,34 @@ def test_out_of_range_numbers_are_parameter_errors(tmp_path, capsys, argv):
     assert err.startswith("parameter error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["free-energy", "--kernel", "binomial:sigma2=0.5",
+     "--pot", "single:j=0,eps=0.8", "--tol", "nan"],
+    ["threshold", "--kernel", "binomial:sigma2=0.1", "--family", "single:j=0",
+     "--amp-lo", "0.01", "--amp-hi", "inf"],
+    ["certify-deloc", "--kernel", "binomial:sigma2=0.5",
+     "--pot", "single:j=0,eps=0.01", "--b", "inf"],
+    ["certify-deloc", "--kernel", "binomial:sigma2=0.5",
+     "--pot", "single:j=0,eps=0.01", "--delta", "nan"],
+])
+def test_non_finite_option_writes_no_run_json(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("parameter error:")
+    assert not out.exists()
+
+
+def test_non_finite_output_is_a_refusal(tmp_path, capsys):
+    # rho divides the rewards by sigma2 = 1e-323 and overflows to inf
+    rc = main(["free-energy", "--kernel", "binomial:sigma2=1e-323",
+               "--pot", "exp:delta=4.94,amp=4.94", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "refused: free_energy.json would hold a non-finite number")
+    assert os.listdir(tmp_path) == ["run.json"]
+    _strict_json(tmp_path / "run.json")
+
+
 def test_cli_import_leaves_the_path_modules_unloaded():
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     code = ("import sys, wetting_lab.cli; print(sorted(m for m in "

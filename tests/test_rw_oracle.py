@@ -58,6 +58,16 @@ def test_refusal_beyond_cap():
         oracle_partition(sos, max_enumerable_L(sos) + 1)
 
 
+def test_refusal_beyond_the_float_range():
+    # e^150 at level 4, paid at up to 7 interior times, overflows: the
+    # oracle refuses instead of returning inf
+    pot = parse_potential_spec("single:j=4,eps=150")
+    k = make_binomial(0.25)
+    assert math.isfinite(oracle_partition(k, 8, wall=0, pot=pot))
+    with pytest.raises(RefusalError, match="float range"):
+        oracle_partition(k, 14, wall=0, pot=pot)
+
+
 def test_clt_band_rows():
     rows = clt_band(K5, [1, 4, 64, 1024, 10000])
     vals = dict(rows)

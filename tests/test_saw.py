@@ -21,11 +21,24 @@ from wetting_lab.saw import (
     saw_tail_bound,
     _at_beta,
     _bridge_sums,
-    _excess_counts,
+    _excess_count,
     _free_end_counts,
     _regularity_counts,
     _runs_tail_bound,
 )
+
+
+def _length(path):
+    return len(path.vertices) - 1
+
+
+def _edges(path):
+    return zip(path.vertices[:-1], path.vertices[1:])
+
+
+def _excess_counts(L, top):
+    """N_0 ... N_top of the closed form ``saw._excess_count``."""
+    return [_excess_count(L, v) for v in range(top + 1)]
 
 
 # --- test-local references: read off the vertex list, independent of the
@@ -38,7 +51,7 @@ def validate(path: LatticePath) -> None:
         raise ParameterError("a path has at least one edge")
     if len(set(vs)) != len(vs):
         raise ParameterError("vertices must be distinct (self-avoidance)")
-    for (u1, y1), (u2, y2) in path.edges():
+    for (u1, y1), (u2, y2) in _edges(path):
         if u1 % 2 == 0 or u2 % 2 == 0:
             raise ParameterError("x coordinates must be half-integers")
         if not ((abs(u1 - u2) == 2 and y1 == y2)
@@ -56,7 +69,7 @@ def contacts(path: LatticePath, j: int, L: int) -> tuple[int, int, int]:
             n_j += 1
         if y == 0 and (u < 1 or u > 2 * L - 1):
             n_ext += 1
-    n_hat = sum(1 for (a, b) in path.edges()
+    n_hat = sum(1 for (a, b) in _edges(path)
                 if a[1] == j and b[1] == j)
     return n_j, n_hat, n_ext
 
@@ -71,7 +84,7 @@ def is_regular(path: LatticePath, u: int, L: int) -> bool:
     if not (0 <= u <= L):
         raise ParameterError("u must lie in [0, L]")
     crossings = 0
-    for (u1, y1), (u2, y2) in path.edges():
+    for (u1, y1), (u2, y2) in _edges(path):
         if y1 == y2 and min(u1, u2) == 2 * u - 1:
             crossings += 1
     if u in (0, L):
@@ -81,10 +94,10 @@ def is_regular(path: LatticePath, u: int, L: int) -> bool:
 
 def test_enumerate_minimal_and_cap2():
     paths = list(enumerate_saw((0.5, 0), (1.5, 0), 0))
-    assert len(paths) == 1 and paths[0].length == 1
+    assert len(paths) == 1 and _length(paths[0]) == 1
     paths = list(enumerate_saw((0.5, 0), (1.5, 0), 2))
     assert len(paths) == 3
-    assert sorted(p.length for p in paths) == [1, 3, 3]
+    assert sorted(_length(p) for p in paths) == [1, 3, 3]
     for p in paths:
         validate(p)
 
@@ -121,7 +134,7 @@ def test_partition_matches_explicit_enumeration():
     for cap in (0, 2, 4):
         total = 0.0
         for p in enumerate_saw((0.5, 0), (3.5, 0), cap):
-            w = math.exp(-2.7 * p.length)
+            w = math.exp(-2.7 * _length(p))
             n0, _, _ = contacts(p, 0, 4)
             n1, _, _ = contacts(p, 1, 4)
             total += w * math.exp(0.2 * n0 + 0.1 * n1)
@@ -134,7 +147,7 @@ def test_partition_with_external_rewards_matches_stream():
     total = 0.0
     for p in enumerate_saw((0.5, 0), (2.5, 0), 6):
         _, _, n_ext = contacts(p, 0, 3)
-        total += math.exp(-2.8 * p.length + a * n_ext)
+        total += math.exp(-2.8 * _length(p) + a * n_ext)
     t = saw_partition(3, 2.8, 6, eps_ext=a)
     assert t.partial_sum == pytest.approx(total, rel=1e-12)
 
@@ -251,7 +264,7 @@ def test_regularity_stats_matches_enumeration(L, beta, cap, a_ext):
     total = fv = ext = 0.0
     nr = dict.fromkeys(us, 0.0)
     for p in enumerate_saw((0.5, 0), (L - 0.5, 0), cap):
-        w = math.exp(-beta * p.length)
+        w = math.exp(-beta * _length(p))
         total += w
         for u in us:
             if not is_regular(p, u, L):
@@ -304,9 +317,9 @@ def test_minimal_horizontal_runs_match_dfs():
     rep = minimal_horizontal_identity(L, beta, cap=cap)
     total = 0.0
     for p in enumerate_saw((0.5, 0), (L - 0.5, 0), cap):
-        n_horiz = sum(1 for (a, b) in p.edges() if a[1] == b[1])
+        n_horiz = sum(1 for (a, b) in _edges(p) if a[1] == b[1])
         if n_horiz == L - 1:
-            total += math.exp(-beta * p.length)
+            total += math.exp(-beta * _length(p))
     assert rep.lhs.partial_sum == pytest.approx(total, rel=1e-12)
 
 
@@ -387,7 +400,7 @@ def test_avoid_level_constraint():
     want = 0.0
     for p in enumerate_saw((0.5, 0), (3.5, 0), 4):
         if all(y != 1 for _, y in p.vertices):
-            want += math.exp(-3.0 * p.length)
+            want += math.exp(-3.0 * _length(p))
     assert avoided.partial_sum == pytest.approx(want, rel=1e-12)
 
 
@@ -397,7 +410,7 @@ def test_grand_canonical_matches_enumeration(L, beta, cap):
     want = 0.0
     for y in range(-cap, cap + 1):
         for p in enumerate_saw((0.5, 0), (L - 0.5, y), cap - abs(y)):
-            want += math.exp(-beta * p.length)
+            want += math.exp(-beta * _length(p))
     got = grand_canonical(L, beta, cap).partial_sum
     assert math.isclose(got, want, rel_tol=1e-12)
 
@@ -454,7 +467,7 @@ def test_permutation_sum_bound_and_refusal():
 
 def test_sum_paths_matches_enumerate_stream():
     got = _at_beta(_bridge_sums(3, 3, "none", None, None, 0.0), 3, 3.1)
-    want = sum(math.exp(-3.1 * p.length)
+    want = sum(math.exp(-3.1 * _length(p))
                for p in enumerate_saw((0.5, 0), (2.5, 0), 3))
     assert got == pytest.approx(want, rel=1e-13)
 
@@ -465,7 +478,7 @@ def test_sum_paths_matches_enumerate_stream():
 def _by_length(paths, L, cap):
     counts = [0] * (cap + 1)
     for p in paths:
-        counts[p.length - (L - 1)] += 1
+        counts[_length(p) - (L - 1)] += 1
     return counts
 
 
@@ -494,7 +507,7 @@ def test_free_end_counts_by_length(L, cap):
     want = [0] * (cap + 1)
     for y in range(-cap, cap + 1):
         for p in enumerate_saw((0.5, 0), (L - 0.5, y), cap - abs(y)):
-            want[p.length - (L - 1)] += 1
+            want[_length(p) - (L - 1)] += 1
     assert _exact(_free_end_counts(L, cap)) == want
 
 
@@ -505,7 +518,7 @@ def test_regularity_counts_by_length(L, cap):
     nr = {u: [0] * (cap + 1) for u in us}
     ext: dict[tuple[int, int], int] = {}
     for p in enumerate_saw((0.5, 0), (L - 0.5, 0), cap):
-        i = p.length - (L - 1)
+        i = _length(p) - (L - 1)
         total[i] += 1
         for u in us:
             nr[u][i] += not is_regular(p, u, L)

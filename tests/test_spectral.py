@@ -45,6 +45,16 @@ def test_quotient_monotone_in_scale():
     assert q == sorted(q)
 
 
+def _dense(op):
+    """The operator's explicit matrix, entry by entry (small dims only)."""
+    m = op.max_step
+    out = np.zeros((op.dim, op.dim))
+    for i in range(op.dim):
+        for j in range(max(0, i - m), min(op.dim, i + m + 1)):
+            out[i, j] = op.stencil[i - j + m] * op.exp_half[i] * op.exp_half[j]
+    return out
+
+
 def test_operator_dense_matches_matvec():
     # dims 1..24 cover windows smaller than, equal to and just past the
     # sos stencil (max_step 11, 23 taps)
@@ -52,7 +62,7 @@ def test_operator_dense_matches_matvec():
     rng = np.random.default_rng(3)
     for kernel, h in itertools.product((K5, make_sos(2.5)), range(24)):
         op = pinned_operator(kernel, pot, h)
-        dense = op.dense()
+        dense = _dense(op)
         for _ in range(3):
             x = rng.normal(size=op.dim)
             np.testing.assert_allclose(op.matvec(x), dense @ x, rtol=1e-12)
@@ -78,7 +88,7 @@ def test_top_eigenvalue_converges_near_the_transition():
     pot = make_family("single", j=0, amplitude=0.0575)
     op = pinned_operator(K1, pot, 128)
     est = top_eigenvalue(op, tol=spectral._EIG_TOL)
-    assert abs(est.value - np.linalg.eigvalsh(op.dense())[-1]) <= 1e-12
+    assert abs(est.value - np.linalg.eigvalsh(_dense(op))[-1]) <= 1e-12
     assert est.converged
     # a delocalized window has no isolated top eigenvalue and may stop on
     # the Ritz-value rule: the flag must still follow the residual
@@ -110,7 +120,7 @@ def test_top_eigenvalue_matches_the_dense_spectrum(kernel):
         op = pinned_operator(kernel, pot, h)
         est = top_eigenvalue(op)
         assert est.converged, (h, est)
-        assert est.value == pytest.approx(np.linalg.eigvalsh(op.dense())[-1],
+        assert est.value == pytest.approx(np.linalg.eigvalsh(_dense(op))[-1],
                                           abs=1e-12)
 
 
@@ -176,7 +186,7 @@ def test_rewards_up_to_the_float_limit_never_overflow(kernel, eps_eig):
 def test_power_iteration_value_is_rayleigh_lower_bound():
     for eps in (0.01, 0.0575, 0.2):
         op = pinned_operator(K1, make_family("single", j=0, amplitude=eps), 128)
-        exact = np.linalg.eigvalsh(op.dense())[-1]
+        exact = np.linalg.eigvalsh(_dense(op))[-1]
         est = top_eigenvalue(op)
         assert est.value <= exact + 1e-12
         assert abs(est.value - exact) <= est.residual + 1e-12
@@ -285,7 +295,7 @@ def test_min_pivot_sign_matches_dense_spectrum(kernel):
         for h, shift in itertools.product((5, 40, 130, 200),
                                           (1.0, 1.0 + 1e-8)):
             op = pinned_operator(kernel, pot, h)
-            lam = np.linalg.eigvalsh(shift * np.eye(op.dim) - op.dense())[0]
+            lam = np.linalg.eigvalsh(shift * np.eye(op.dim) - _dense(op))[0]
             pivot = _min_pivot(op, shift)
             assert (pivot > 0.0) == (lam > 0.0), (pot.spec_string(), h)
             if pivot > 0.0:

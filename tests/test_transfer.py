@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from wetting_lab import transfer
-from wetting_lab.errors import ParameterError, RefusalError
+from wetting_lab.errors import ParameterError, RefusalError, TruncationError
 from wetting_lab.kernels import make_binomial, make_sos, parse_kernel_spec
 from wetting_lab.potentials import make_family, parse_potential_spec
 from wetting_lab.rw_oracle import oracle_partition
 from wetting_lab.transfer import (
     DEFECT_TOL,
     _diag_for,
-    _make_window,
     _sweep,
     _Window,
     free_energy,
@@ -76,15 +75,50 @@ def test_zero_potential_step_matches_plain():
         assert np.array_equal(a, b)
 
 
+def _noop(t, v):
+    """A callback keeps the sweep's window fixed (and runs every step)."""
+
+
 def test_defect_flag_trips_on_tiny_window():
     window = _Window(base=0, n=3, start=0, end=0, walled=True)
-    _, defect = _sweep(K5, 12, window, None, DEFECT_TOL)
+    _, defect = _sweep(K5, 12, window, None, DEFECT_TOL, _noop)
     assert defect
 
 
+def _reference_window(kernel, L, wall, pot, grow):
+    """The window a sweep of L steps ran on before windows grew in place:
+    8 sigma sqrt(L) + 2 max_step rows, or the reach of the rewards, doubled
+    ``grow`` times."""
+    m = kernel.max_step
+    spread = int(math.ceil(8.0 * math.sqrt(kernel.sigma2 * max(L, 1)))) + 2 * m
+    if pot is not None and pot.support:
+        spread = max(spread, min(pot.support[-1], (L // 2) * m) + 4 * m)
+    spread = max(spread, 4 * m, 16) << grow
+    if wall is not None:
+        return _Window(base=-wall, n=wall + spread + 1, start=wall, end=wall,
+                       walled=True)
+    return _Window(base=-spread, n=2 * spread + 1, start=spread, end=spread,
+                   walled=False)
+
+
+def _reference_profile(kernel, L_max, wall=None, pot=None):
+    """``partition_profile`` as it stood before windows grew in place: the
+    formula window, doubled and the sweep rerun while the edge rows carry a
+    relative mass above DEFECT_TOL."""
+    for grow in range(8):
+        window = _reference_window(kernel, L_max, wall, pot, grow)
+        if window.n > transfer._STATE_CAP:
+            break
+        logz, defect = _reference_sweep(kernel, L_max, window,
+                                        _diag_for(window, pot), DEFECT_TOL)
+        if not defect:
+            return logz
+    raise AssertionError("reference window doubling exhausted")
+
+
 def _reference_sweep(kernel, L, window, diag, defect_tol, on_step=None):
-    """The sweep loop as it stood before the leaner step, kept verbatim:
-    the byte-identity reference of ``transfer._sweep``."""
+    """The fixed-window sweep loop as it stood before the leaner step, kept
+    verbatim: the byte-identity reference of ``transfer._sweep``."""
     parr = kernel.prob_array()
     mstep = kernel.max_step
     n = window.n
@@ -143,8 +177,7 @@ def test_sweep_is_byte_identical_to_the_reference(monkeypatch, kspec):
     L = 700
     for wall, pot in itertools.product((None, 0, 3), pots):
         new = partition_profile(kernel, L, wall=wall, pot=pot)
-        ref = _with_reference(monkeypatch, partition_profile, kernel, L,
-                              wall=wall, pot=pot)
+        ref = _reference_profile(kernel, L, wall=wall, pot=pot)
         assert new.tobytes() == ref.tobytes(), (wall, pot)
     for j in (0, 3):
         new = midpoint_prob(kernel, L, j)
@@ -152,24 +185,58 @@ def test_sweep_is_byte_identical_to_the_reference(monkeypatch, kspec):
         assert new.tobytes() == ref.tobytes(), j
 
 
+@pytest.mark.parametrize("L", [700, 4096])
+def test_growth_follows_a_far_rewarded_level(L):
+    # the mode at level 20 starts far below the read-out row and takes over
+    # later; a window grown from the read-out row alone misses it, and Z_L
+    # then differs by ~4e-12 relative
+    kernel = make_binomial(0.1)
+    pot = parse_potential_spec("single:j=20,eps=0.6")
+    for wall in (None, 0, 3):
+        new = partition_profile(kernel, L, wall=wall, pot=pot)
+        ref = _reference_profile(kernel, L, wall=wall, pot=pot)
+        assert new.tobytes() == ref.tobytes(), wall
+
+
 def test_fixed_point_exit_is_byte_identical_to_the_reference(monkeypatch):
     kernel = parse_kernel_spec("binomial:sigma2=0.5")
     pot = parse_potential_spec("single:j=0,eps=0.8")
     L = 65536
-    steps = []
+    rows = []
     correlate = np.correlate
 
     def counting(*args):
-        steps.append(1)
+        rows.append(len(args[0]))
         return correlate(*args)
 
     with monkeypatch.context() as m:
         m.setattr(transfer.np, "correlate", counting)
         new = partition_profile(kernel, L, wall=0, pot=pot)
-    assert 0 < len(steps) < L // 8  # the sweep stopped at the fixed point
-    ref = _with_reference(monkeypatch, partition_profile, kernel, L, wall=0,
-                          pot=pot)
-    assert new.tobytes() == ref.tobytes()
+    assert 0 < len(rows) < L // 8  # the sweep stopped at the fixed point
+    # the window grew to what the localized vector carries, far below the
+    # 1,452 rows of 8 sigma sqrt(L)
+    assert max(rows) <= 256
+    assert new.tobytes() == _reference_profile(kernel, L, wall=0,
+                                               pot=pot).tobytes()
+
+
+def test_growth_past_the_cap_raises_with_the_partial_profile(monkeypatch):
+    # the free bridge asks for ~8.6 sigma sqrt(L) rows; with the cap at 64
+    # the 33-row floor cannot double, and the edge trips DEFECT_TOL
+    ref = _reference_profile(K5, 4096)
+    monkeypatch.setattr(transfer, "_STATE_CAP", 64)
+    with pytest.raises(TruncationError, match="exhausted") as exc:
+        partition_profile(K5, 4096)
+    partial = exc.value.partial
+    done = np.isfinite(partial)
+    assert partial.shape == (4097,) and 8 < done.sum() < 4096
+    assert done[1:done.sum() + 1].all()
+    np.testing.assert_allclose(partial[done], ref[done], rtol=1e-13)
+    # a floor window beyond the cap is never swept
+    monkeypatch.setattr(transfer, "_STATE_CAP", 16)
+    with pytest.raises(TruncationError) as exc:
+        partition_profile(K5, 4096)
+    assert exc.value.partial is None
 
 
 @pytest.mark.parametrize("kernel, window", [
@@ -178,8 +245,9 @@ def test_fixed_point_exit_is_byte_identical_to_the_reference(monkeypatch):
     (make_sos(2.5), _Window(base=0, n=25, start=0, end=0, walled=True)),
 ])
 def test_defect_exit_is_byte_identical_to_the_reference(kernel, window):
-    new, defect = _sweep(kernel, 40, window, None, DEFECT_TOL)
-    ref, ref_defect = _reference_sweep(kernel, 40, window, None, DEFECT_TOL)
+    new, defect = _sweep(kernel, 40, window, None, DEFECT_TOL, _noop)
+    ref, ref_defect = _reference_sweep(kernel, 40, window, None, DEFECT_TOL,
+                                       _noop)
     assert defect and ref_defect
     assert new.tobytes() == ref.tobytes()
 
@@ -193,8 +261,7 @@ def test_full_matrix_symmetry():
         for j in range(n):
             window = _Window(base=0, n=n, start=i, end=j, walled=True)
             # the window is deliberately tight: weights, not the flag, matter
-            logz, _ = _sweep(K5, L, window, _diag_for(window, pot),
-                             math.inf)
+            logz, _ = _sweep(K5, L, window, pot, math.inf, _noop)
             W[i, j] = math.exp(logz[L])
     np.testing.assert_allclose(W, W.T, rtol=1e-12, atol=1e-300)
 
@@ -209,7 +276,7 @@ def test_fixed_point_exit_matches_every_step(kspec, pspec, localized):
     kernel = parse_kernel_spec(kspec)
     pot = parse_potential_spec(pspec)
     L = 8192
-    window = _make_window(kernel, L, 0, pot, 0)
+    window = _reference_window(kernel, L, 0, pot, 0)
     repeats = []
     last = [None]
 
@@ -218,8 +285,7 @@ def test_fixed_point_exit_matches_every_step(kspec, pspec, localized):
             repeats.append(t)
         last[0] = v
 
-    ref, defect = _sweep(kernel, L, window, _diag_for(window, pot),
-                         DEFECT_TOL, on_step)
+    ref, defect = _sweep(kernel, L, window, pot, DEFECT_TOL, on_step)
     assert not defect
     assert np.array_equal(partition_profile(kernel, L, wall=0, pot=pot), ref)
     # localized sweeps hit the fixed point long before L, delocalized never
