@@ -5,8 +5,9 @@ resolved configuration; re-running from the same configuration reproduces
 the outputs byte for byte.  The one intentionally volatile field is the
 timing column of ``phase-scan``, which its --deterministic flag zeroes.
 
-The path modules ``saw`` and ``rw_oracle`` are imported by the four
-subcommands that use them, so the others do not pay for loading them.
+Each subcommand imports the modules that only it uses (``certify``,
+``spectral``, ``saw``, ``rw_oracle``) when it runs, so the others do not pay
+for loading them.
 
 Exit codes: 0 success, 1 parameter error, 2 computational refusal (oracle or
 enumeration caps, exhausted truncation), 3 flagged-inconsistent results.
@@ -23,17 +24,9 @@ import sys
 from dataclasses import asdict, is_dataclass
 
 from . import __version__
-from .certify import (
-    SCAN_COLUMNS,
-    ScanPoint,
-    delocalization_certificate,
-    phase_scan,
-    wetting_threshold,
-)
 from .errors import ParameterError, RefusalError, TruncationError, spec_number
 from .kernels import parse_kernel_spec
 from .potentials import parse_potential_spec, rho
-from .spectral import localization_certificate
 from .transfer import free_energy, partition_profile
 
 
@@ -100,6 +93,8 @@ def _cmd_free_energy(args) -> int:
 
 
 def _cmd_phase_scan(args) -> int:
+    from .certify import SCAN_COLUMNS, ScanPoint, phase_scan
+
     _check_L_max(args.L_max)
     amps = _numbers(args.amps, "--amps")
     points = [
@@ -116,6 +111,8 @@ def _cmd_phase_scan(args) -> int:
 
 
 def _cmd_certify_deloc(args) -> int:
+    from .certify import delocalization_certificate
+
     _check_L_max(args.L_max)
     kernel = parse_kernel_spec(args.kernel)
     pot = parse_potential_spec(args.pot)
@@ -126,6 +123,8 @@ def _cmd_certify_deloc(args) -> int:
 
 
 def _cmd_certify_loc(args) -> int:
+    from .spectral import localization_certificate
+
     kernel = parse_kernel_spec(args.kernel)
     pot = parse_potential_spec(args.pot)
     _write_json(args.out_dir, "certificate.json",
@@ -134,6 +133,8 @@ def _cmd_certify_loc(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    from .certify import wetting_threshold
+
     _check_L_max(args.L_max)
     kernel = parse_kernel_spec(args.kernel)
 

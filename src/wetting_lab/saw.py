@@ -5,14 +5,21 @@ the x coordinate is doubled so every vertex is an integer pair (u, y) with u
 odd.  A path is a vertex-distinct chain of unit edges; its Boltzmann weight
 is exp(-beta * length).
 
-Every ensemble here is enumerated by one depth-first search (``_Search``) up
-to a length budget (minimal length + excess cap).  It runs on a flat grid,
-cell (col, y) at index (col - c0) * H + (y - y0), so the steps E, N, W, S are
-the offsets +H, +1, -H, -1.  Per-cell lists built once per call hold the
-distance still to go (closed for padding, blocked and occupied cells), the
-arrival factor and a mark; per step the search keeps the product of arrival
-factors, the marked count and each line's horizontal crossings, so
-statistics are read off at each arrival without rebuilding the path.
+Every ensemble here is enumerated by one search (``_Search``) up to a
+length budget (minimal length + excess cap).  It runs on a flat grid, cell
+(col, y) at index (col - c0) * H + (y - y0), so the steps E, N, W, S are
+the offsets +H, +1, -H, -1.  Per-cell arrays built once per call hold the
+distance still to go (closed for padding and blocked cells), the arrival
+factor and a mark.  The search goes a level at a time: numpy extends every
+path of a block by its four steps at once, keeping per path its cells, the
+product of arrival factors and, where a caller reads them, the marked count
+and the crossings of the lines it asks for.  A step may not revisit a
+cell, and the cells it could revisit lie an odd number of steps back.
+Blocks hold at most ``_CHUNK`` paths and go on depth first, so memory stays
+bounded and the paths of each length arrive in depth-first E, N, W, S
+order: per-length float sums add the same terms in the same order whatever
+the block size.  ``enumerate_saw`` merges the lengths by sorting its paths
+on their step codes.
 
 The unweighted unconstrained path sets (free-end counts, regularity
 counts, bridge counts without rewards) are symmetric under y -> -y, which
@@ -87,29 +94,44 @@ def _to_doubled(p: tuple[float, int]) -> tuple[int, int]:
     return int(u), int(p[1])
 
 
+# frontier block size: a level extends at most this many paths at once,
+# which bounds the memory a search holds
+_CHUNK = 1024
+
+
+def _take(arrays, index):
+    return [None if a is None else a[index] for a in arrays]
+
+
 class _Search:
     """Self-avoiding paths from ``start`` with at most ``max_len`` edges.
 
     They arrive at ``goal`` or, with ``free_end``, at any vertex of goal's
-    column (and may go on).  Iterating yields (length, weight, marked
-    vertices) at each arrival; the weight is the product of factor(u, y)
-    over the vertices entered, 1 without ``factor``.  While the consumer
-    holds an arrival, ``path`` lists the cells and ``cross[x - c0]`` counts
-    the horizontal edges crossing the line x.
+    column (and may go on).  Iterating yields batches of arrivals, each
+    (n, cells, weight, marks, crossings) for some paths of length n: their
+    n + 1 grid cells row by row, the product of factor(u, y) over the
+    vertices entered (1 without ``factor``), the count of marked vertices
+    entered (None without ``marked``) and, per line x = u of ``lines``, the
+    horizontal edges crossing it (None without ``lines``).
     ``gate`` is the distance still to go (Manhattan, or horizontal only with
-    a free end) or ``closed``: one comparison with the budget admits a step.
+    a free end), or max_len + 1 where closed: one comparison with the
+    budget admits a step.
+
+    The search is level-synchronous: each level extends every path of a
+    block by E, N, W and S at once, in that order per path, and splits a
+    block grown past ``_CHUNK`` paths into parts that go on depth first, in
+    order.  So the paths of each length arrive in depth-first E, N, W, S
+    order, whatever the block size.
 
     ``mirror`` is for path sets that the caller knows to be symmetric, with
-    marks and factors, under y -> 2 sy - y: the flat paths (a straight E or
-    W run) are walked, and of the rest only those whose first vertical step
-    is N; the DFS loop restarts below each root (the start cell and every
-    flat-run cell, with only its N step open) and counts what arrives
-    there twice, once for its S-first mirror image.
+    marks and factors, under y -> 2 sy - y: a flat path (a straight E or W
+    run from the start) takes no S step, and its N step doubles the weight,
+    which counts the S-first mirror image of every path walked below it.
     """
 
     def __init__(self, start: tuple[int, int], goal: tuple[int, int],
                  max_len: int, *, free_end: bool = False, factor=None,
-                 blocked=None, marked=None, mirror: bool = False):
+                 blocked=None, marked=None, lines=None, mirror: bool = False):
         (su, sy), (gu, gy) = start, goal
         sc, gc = (su - 1) // 2, (gu - 1) // 2
 
@@ -120,93 +142,79 @@ class _Search:
                   for y in range(sy - max_len, sy + max_len + 1)
                   if abs(c - sc) + abs(y - sy) + dist(c, y) <= max_len]
         self.c0 = c0 = min(c for c, _ in usable) - 1
-        y0 = min(y for _, y in usable) - 1
+        self.y0 = y0 = min(y for _, y in usable) - 1
         W = max(c for c, _ in usable) - c0 + 2
         self.H = H = max(y for _, y in usable) - y0 + 2
-        self.y0, self.closed = y0, max_len + 1
-        self.gate = [self.closed] * (W * H)
-        self.factor = [1] * (W * H)
-        self.mark = [0] * (W * H)
-        # each cell's steps E, N, W, S, paired with the index in ``cross``
-        # of the line they cross (W, a spare slot, for N and S)
-        self.steps = [()] * (W * H)
-        self.cross = [0] * (W + 1)
+        self.gate = np.full(W * H, max_len + 1)
+        self.factor = None if factor is None else np.ones(W * H)
+        self.mark = None if marked is None else np.zeros(W * H, int)
         for c, y in usable:
-            i, u, j = (c - c0) * H + (y - y0), 2 * c + 1, c - c0
+            i, u = (c - c0) * H + (y - y0), 2 * c + 1
             if blocked is None or not blocked(u, y):
                 self.gate[i] = dist(c, y)
             if factor is not None:
                 self.factor[i] = factor(u, y)
             if marked is not None:
-                self.mark[i] = int(marked(u, y))
-            self.steps[i] = ((i + H, j + 1), (i + 1, W),
-                             (i - H, j), (i - 1, W))
-        self.path = [(sc - c0) * H + (sy - y0)]
+                self.mark[i] = marked(u, y)
+        self.lines = None if lines is None else np.array(lines, int)
+        self.start = (sc - c0) * H + (sy - y0)
         self.max_len, self.stop, self.mirror = max_len, not free_end, mirror
 
     def __iter__(self):
-        gate, steps, factor, mark = (self.gate, self.steps, self.factor,
-                                     self.mark)
-        cross, path, closed = self.cross, self.path, self.closed
-        start, top = path[0], self.max_len + 1
-        gate[start] = closed
-        if not self.mirror:
-            yield from self._walk(1, 0, self.max_len, iter(steps[start]))
-            return
-        yield from self._walk(2, 0, self.max_len, iter(steps[start][1:2]))
-        fresh = gate[:]
-        for e in (0, 2):  # the flat runs E and W
-            w, m, rem = 1, 0, self.max_len
-            while gate[steps[path[-1]][e][0]] < rem:
-                n, k = steps[path[-1]][e]
-                w, m, d = w * factor[n], m + mark[n], gate[n]
-                cross[k] += 1
-                path.append(n)
-                if not d:
-                    yield top - rem, w, m
-                    if self.stop:
-                        break
-                gate[n] = closed
-                rem -= 1
-                yield from self._walk(2 * w, m, rem, iter(steps[n][1:2]))
-            gate[:], cross[:] = fresh, [0] * len(cross)
-            del path[1:]
-
-    def _walk(self, w, m, rem, it):
-        """The DFS below the last cell of ``path``: weight w, m marks, rem
-        steps left and ``it`` over the steps still open there."""
-        gate, steps, factor, mark = (self.gate, self.steps, self.factor,
-                                     self.mark)
-        cross, path, closed = self.cross, self.path, self.closed
-        stop, top = self.stop, self.max_len + 1
-        stack = []
-        while True:
-            for n, k in it:
-                d = gate[n]
-                if d >= rem:
-                    continue
-                nw = w * factor[n]
-                nm = m + mark[n]
-                cross[k] += 1
-                path.append(n)
-                if not d:
-                    yield top - rem, nw, nm
-                    if stop:
-                        path.pop()
-                        cross[k] -= 1
-                        continue
-                stack.append((w, m, it, k, d))
-                gate[n] = closed
-                w, m, it = nw, nm, iter(steps[n])
-                rem -= 1
-                break
-            else:
-                if not stack:
-                    return
-                w, m, it, k, d = stack.pop()
-                gate[path.pop()] = d
-                cross[k] -= 1
-                rem += 1
+        gate, factor, mark, lines = self.gate, self.factor, self.mark, self.lines
+        max_len, steps = self.max_len, np.array([self.H, 1, -self.H, -1])
+        if lines is not None:
+            # hit[i, k]: the lines crossed by step k from cell i, whose
+            # vertex is at x = c + 1/2: x = c + 1 going E, x = c going W
+            c = np.arange(gate.size) // self.H + self.c0
+            hit = np.zeros((gate.size, 4, lines.size), np.int8)
+            hit[:, 0] = c[:, None] + 1 == lines
+            hit[:, 2] = c[:, None] == lines
+        cell_type = np.int16 if gate.size <= np.iinfo(np.int16).max else np.int32
+        cells = np.zeros((1, max_len + 1), cell_type)
+        cells[0, 0] = self.start
+        blocks = [(0, [cells, np.ones(1, int if factor is None else float),
+                       None if mark is None else np.zeros(1, int),
+                       None if lines is None else np.zeros((1, lines.size),
+                                                           np.int8),
+                       np.ones(1, bool) if self.mirror else None])]
+        while blocks:
+            t, state = blocks.pop()
+            cells, flat = state[0], state[4]
+            cand = cells[:, t, None] + steps
+            open_ = gate[cand] < max_len - t
+            if flat is not None:
+                open_[:, 3] &= ~flat  # S-first: the mirror images
+            p, s = open_.nonzero()
+            nxt = cand[p, s].astype(cell_type)
+            # the cells a step can revisit lie an odd number of steps back
+            fresh = (cells[p, (t + 1) % 2:t:2] != nxt[:, None]).all(axis=1)
+            p, s, nxt = p[fresh], s[fresh], nxt[fresh]
+            arrived = gate[nxt] == 0
+            if self.stop:  # arrivals end there: they go last, in order
+                last = np.argsort(arrived, kind="stable")
+                p, s, nxt, arrived = p[last], s[last], nxt[last], arrived[last]
+            cells, w, m, cross, flat = state = _take(state, p)
+            n = t + 1
+            if cross is not None:
+                cross += hit[cells[:, t], s]
+            cells[:, n] = nxt
+            if factor is not None:
+                w *= factor[nxt]
+            if flat is not None:
+                w *= 1 + (flat & (s == 1))
+                flat &= s % 2 == 0
+            if m is not None:
+                m += mark[nxt]
+            if arrived.any():
+                k = len(p) - np.count_nonzero(arrived)
+                yield (n, *_take((cells[:, :n + 1], w, m, cross),
+                                 slice(k, None) if self.stop else arrived))
+                if self.stop:
+                    state = _take(state, slice(0, k))
+            if n < max_len:
+                for i in reversed(range(0, len(state[0]), _CHUNK)):
+                    blocks.append((n, _take(state, slice(i, i + _CHUNK))))
 
 
 def enumerate_saw(x: tuple[float, int], y: tuple[float, int],
@@ -220,10 +228,24 @@ def enumerate_saw(x: tuple[float, int], y: tuple[float, int],
         raise ParameterError("endpoints must differ")
     minimal = abs(start[0] - goal[0]) // 2 + abs(start[1] - goal[1])
     search = _Search(start, goal, minimal + excess_cap)
-    H, c0, y0 = search.H, search.c0, search.y0
-    for _ in search:
-        yield LatticePath(vertices=tuple((2 * (i // H + c0) + 1, i % H + y0)
-                                         for i in search.path))
+    H = search.H
+    code = np.zeros(2 * H + 1, np.int8)  # of each step's offset: E, N, W, S
+    code[H + np.array([H, 1, -H, -1])] = range(4)
+    ends, codes = [], []
+    for n, cells, *_ in search:
+        ends += [n] * len(cells)
+        codes.append(np.pad(code[H + np.diff(cells)],
+                            ((0, 0), (0, search.max_len - n))))
+    codes = np.concatenate(codes)
+    # a path ends at the goal, so none is a prefix of another and the
+    # depth-first order is the order of their step codes E < N < W < S
+    moves = ((2, 0), (0, 1), (-2, 0), (0, -1))  # E, N, W, S in (u, y)
+    for k in np.lexsort(codes.T[::-1]):
+        vertices = [start]
+        for s in codes[k, :ends[k]].tolist():
+            (u, v), (du, dv) = vertices[-1], moves[s]
+            vertices.append((u + du, v + dv))
+        yield LatticePath(vertices=tuple(vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +295,10 @@ class TruncatedEnsemble:
 
 def _length_sums(search: _Search, L: int, excess_cap: int) -> tuple:
     """Arrival weights of a span-L search summed by length, for the lengths
-    L - 1 ... L - 1 + excess_cap."""
+    L - 1 ... L - 1 + excess_cap, each sum added up in arrival order."""
     sums = [0.0] * (L + excess_cap)
-    for n, w, _ in search:
-        sums[n] += w
+    for n, _, w, _, _ in search:
+        sums[n] = np.add.accumulate(np.concatenate(([sums[n]], w)))[-1].item()
     return tuple(sums[L - 1:])
 
 
@@ -420,28 +442,25 @@ def _regularity_counts(L: int, excess_cap: int, u_list: tuple[int, ...]):
     u, paths whose first edge is vertical, ext) where ext[n][k] counts the
     paths with k external contacts."""
     top = L + excess_cap
-    total, fv = [0] * top, [0] * top
-    not_regular = [[0] * top for _ in u_list]
-    ext = [[0] * (top + 1) for _ in range(top)]
+    total, fv = np.zeros(top, np.int64), np.zeros(top, np.int64)
+    not_regular = np.zeros((top, len(u_list)), np.int64)
+    ext = np.zeros((top, top + 1), np.int64)
+    # regular: crossed once for interior u, never for u in {0, L}
+    once = np.array([0 if u in (0, L) else 1 for u in u_list])
     search = _Search((1, 0), (2 * L - 1, 0), (L - 1) + excess_cap,
                      # marks: external contacts
                      marked=lambda u, y: y == 0 and not 1 <= u <= 2 * L - 1,
-                     mirror=True)
-    cross, path = search.cross, search.path
-    # regular: crossed once for interior u, never for u in {0, L}
-    lines = [(counts, u - search.c0, 0 if u in (0, L) else 1)
-             for counts, u in zip(not_regular, u_list)]
-    for n, w, n_ext in search:  # w: 1 or 2 paths (mirror)
-        total[n] += w
-        for counts, k, once in lines:
-            if cross[k] != once:
-                counts[n] += w
-        if abs(path[1] - path[0]) == 1:  # same column: first edge vertical
-            fv[n] += w
-        ext[n][n_ext] += w
+                     lines=u_list, mirror=True)
+    for n, cells, w, n_ext, cross in search:  # w: 1 or 2 paths (mirror)
+        total[n] += w.sum()
+        not_regular[n] += w @ (cross != once)
+        # same column: first edge vertical
+        fv[n] += w[abs(cells[:, 1] - cells[:, 0]) == 1].sum()
+        ext[n] += np.bincount(n_ext, weights=w, minlength=top + 1).astype(int)
     cut = L - 1
-    return (tuple(total[cut:]), tuple(tuple(c[cut:]) for c in not_regular),
-            tuple(fv[cut:]), tuple(tuple(row) for row in ext[cut:]))
+    return (tuple(total[cut:].tolist()),
+            tuple(map(tuple, not_regular[cut:].T.tolist())),
+            tuple(fv[cut:].tolist()), tuple(map(tuple, ext[cut:].tolist())))
 
 
 def regularity_stats(L: int, beta: float, excess_cap: int,

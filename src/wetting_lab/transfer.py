@@ -38,7 +38,6 @@ from .errors import (ParameterError, RefusalError, TruncationError,
                      positive_finite)
 from .kernels import WalkKernel
 from .potentials import PinningPotential
-from .spectral import _EIG_H_CAP, _eigen_windows
 
 DEFECT_TOL = 1e-12
 _STATE_CAP = 1 << 17
@@ -298,6 +297,8 @@ def free_energy(
     log Z that is not finite there (a reward so large that the sweep's
     weight at height 0 falls below the float range) refuses the slope.
     """
+    from .spectral import _EIG_H_CAP, _eigen_windows
+
     positive_finite(tol, "tol")
 
     def rate(eig) -> float:

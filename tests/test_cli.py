@@ -183,9 +183,12 @@ def test_non_finite_output_is_a_refusal(tmp_path, capsys):
 
 
 def test_cli_import_leaves_the_path_modules_unloaded():
+    # and the certificate modules: each subcommand imports what it runs
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     code = ("import sys, wetting_lab.cli; print(sorted(m for m in "
-            "('wetting_lab.saw', 'wetting_lab.rw_oracle') if m in sys.modules))")
+            "('wetting_lab.saw', 'wetting_lab.rw_oracle', "
+            "'wetting_lab.certify', 'wetting_lab.spectral') "
+            "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

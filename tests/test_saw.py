@@ -554,6 +554,229 @@ def test_factor_free_values_match_decimal(ensemble, L, cap, beta):
     assert abs(Decimal(got) - want) <= Decimal("1e-15") * want
 
 
+class _ReferenceDFS:
+    """``saw._Search`` as it stood before the level engine, verbatim: a
+    depth-first search taking one Python step per node.  It is the
+    reference of the engine, with the callers as they stood below it."""
+
+    def __init__(self, start, goal, max_len, *, free_end=False, factor=None,
+                 blocked=None, marked=None, mirror=False):
+        (su, sy), (gu, gy) = start, goal
+        sc, gc = (su - 1) // 2, (gu - 1) // 2
+
+        def dist(c, y):
+            return abs(c - gc) + (0 if free_end else abs(y - gy))
+
+        usable = [(c, y) for c in range(sc - max_len, sc + max_len + 1)
+                  for y in range(sy - max_len, sy + max_len + 1)
+                  if abs(c - sc) + abs(y - sy) + dist(c, y) <= max_len]
+        self.c0 = c0 = min(c for c, _ in usable) - 1
+        y0 = min(y for _, y in usable) - 1
+        W = max(c for c, _ in usable) - c0 + 2
+        self.H = H = max(y for _, y in usable) - y0 + 2
+        self.y0, self.closed = y0, max_len + 1
+        self.gate = [self.closed] * (W * H)
+        self.factor = [1] * (W * H)
+        self.mark = [0] * (W * H)
+        # each cell's steps E, N, W, S, paired with the index in ``cross``
+        # of the line they cross (W, a spare slot, for N and S)
+        self.steps = [()] * (W * H)
+        self.cross = [0] * (W + 1)
+        for c, y in usable:
+            i, u, j = (c - c0) * H + (y - y0), 2 * c + 1, c - c0
+            if blocked is None or not blocked(u, y):
+                self.gate[i] = dist(c, y)
+            if factor is not None:
+                self.factor[i] = factor(u, y)
+            if marked is not None:
+                self.mark[i] = int(marked(u, y))
+            self.steps[i] = ((i + H, j + 1), (i + 1, W),
+                             (i - H, j), (i - 1, W))
+        self.path = [(sc - c0) * H + (sy - y0)]
+        self.max_len, self.stop, self.mirror = max_len, not free_end, mirror
+
+    def __iter__(self):
+        gate, steps, factor, mark = (self.gate, self.steps, self.factor,
+                                     self.mark)
+        cross, path, closed = self.cross, self.path, self.closed
+        start, top = path[0], self.max_len + 1
+        gate[start] = closed
+        if not self.mirror:
+            yield from self._walk(1, 0, self.max_len, iter(steps[start]))
+            return
+        yield from self._walk(2, 0, self.max_len, iter(steps[start][1:2]))
+        fresh = gate[:]
+        for e in (0, 2):  # the flat runs E and W
+            w, m, rem = 1, 0, self.max_len
+            while gate[steps[path[-1]][e][0]] < rem:
+                n, k = steps[path[-1]][e]
+                w, m, d = w * factor[n], m + mark[n], gate[n]
+                cross[k] += 1
+                path.append(n)
+                if not d:
+                    yield top - rem, w, m
+                    if self.stop:
+                        break
+                gate[n] = closed
+                rem -= 1
+                yield from self._walk(2 * w, m, rem, iter(steps[n][1:2]))
+            gate[:], cross[:] = fresh, [0] * len(cross)
+            del path[1:]
+
+    def _walk(self, w, m, rem, it):
+        """The DFS below the last cell of ``path``: weight w, m marks, rem
+        steps left and ``it`` over the steps still open there."""
+        gate, steps, factor, mark = (self.gate, self.steps, self.factor,
+                                     self.mark)
+        cross, path, closed = self.cross, self.path, self.closed
+        stop, top = self.stop, self.max_len + 1
+        stack = []
+        while True:
+            for n, k in it:
+                d = gate[n]
+                if d >= rem:
+                    continue
+                nw = w * factor[n]
+                nm = m + mark[n]
+                cross[k] += 1
+                path.append(n)
+                if not d:
+                    yield top - rem, nw, nm
+                    if stop:
+                        path.pop()
+                        cross[k] -= 1
+                        continue
+                stack.append((w, m, it, k, d))
+                gate[n] = closed
+                w, m, it = nw, nm, iter(steps[n])
+                rem -= 1
+                break
+            else:
+                if not stack:
+                    return
+                w, m, it, k, d = stack.pop()
+                gate[path.pop()] = d
+                cross[k] -= 1
+                rem += 1
+
+
+def _reference_length_sums(search, L, excess_cap):
+    sums = [0.0] * (L + excess_cap)
+    for n, w, _ in search:
+        sums[n] += w
+    return tuple(sums[L - 1:])
+
+
+def _reference_search(monkeypatch, fn, *args):
+    """What ``_free_end_counts`` or ``_bridge_sums`` returned on the
+    reference DFS, summed as they summed it."""
+    with monkeypatch.context() as m:
+        m.setattr(saw, "_Search", _ReferenceDFS)
+        m.setattr(saw, "_length_sums", _reference_length_sums)
+        return fn.__wrapped__(*args)
+
+
+def _reference_regularity_counts(L, excess_cap, u_list):
+    """``_regularity_counts`` as it stood on the reference DFS."""
+    top = L + excess_cap
+    total, fv = [0] * top, [0] * top
+    not_regular = [[0] * top for _ in u_list]
+    ext = [[0] * (top + 1) for _ in range(top)]
+    search = _ReferenceDFS((1, 0), (2 * L - 1, 0), (L - 1) + excess_cap,
+                           marked=lambda u, y: y == 0
+                           and not 1 <= u <= 2 * L - 1,
+                           mirror=True)
+    cross, path = search.cross, search.path
+    lines = [(counts, u - search.c0, 0 if u in (0, L) else 1)
+             for counts, u in zip(not_regular, u_list)]
+    for n, w, n_ext in search:
+        total[n] += w
+        for counts, k, once in lines:
+            if cross[k] != once:
+                counts[n] += w
+        if abs(path[1] - path[0]) == 1:
+            fv[n] += w
+        ext[n][n_ext] += w
+    cut = L - 1
+    return (tuple(total[cut:]), tuple(tuple(c[cut:]) for c in not_regular),
+            tuple(fv[cut:]), tuple(tuple(row) for row in ext[cut:]))
+
+
+def _reference_lines(x, y, cap):
+    """``enumerate_saw``'s dump lines as the reference DFS streamed them."""
+    start, goal = saw._to_doubled(x), saw._to_doubled(y)
+    search = _ReferenceDFS(start, goal, abs(start[0] - goal[0]) // 2
+                           + abs(start[1] - goal[1]) + cap)
+    H, c0, y0 = search.H, search.c0, search.y0
+    return [";".join(f"{2 * (i // H + c0) + 1},{i % H + y0}"
+                     for i in search.path) for _ in search]
+
+
+# every (L, cap) with L in 2..7 and (L - 1) + cap <= 13
+GRID = [(L, cap) for L in range(2, 8) for cap in range(0, 13 - (L - 1) + 1)]
+_POT = make_family("list", values=[0.2, 0.1])
+BRIDGES = [("none", None, None, 0.0), ("wall", None, None, 0.0),
+           ("avoid", 1, None, 0.0), ("avoid", -1, None, 0.0),
+           ("none", None, _POT, 0.0), ("none", None, None, 0.3)]
+
+
+def _engine_values(L, cap):
+    us = tuple(range(L + 1))
+    return ([_free_end_counts.__wrapped__(L, cap),
+             _regularity_counts.__wrapped__(L, cap, us)]
+            + [_bridge_sums.__wrapped__(L, cap, *b) for b in BRIDGES])
+
+
+@pytest.fixture(scope="module")
+def reference_values():
+    """Every grid point's values and dump lines on the reference DFS."""
+    values = {}
+    with pytest.MonkeyPatch.context() as m:
+        for L, cap in GRID:
+            us = tuple(range(L + 1))
+            values[L, cap] = (
+                [_reference_search(m, _free_end_counts, L, cap),
+                 _reference_regularity_counts(L, cap, us)]
+                + [_reference_search(m, _bridge_sums, L, cap, *b)
+                   for b in BRIDGES],
+                _reference_lines((0.5, 0), (L - 0.5, 0), cap))
+    return values
+
+
+@pytest.mark.parametrize("chunk, top", [(None, 13), (3, 10)])
+def test_engine_matches_the_reference_search(monkeypatch, reference_values,
+                                             chunk, top):
+    # free-end counts, all four regularity tuples, the bridge sums of every
+    # constraint, reward and external reward, and the dump lines: equal,
+    # float sums to the last bit.  Blocks of 3 paths split at every level;
+    # they cost a numpy pass per 3 paths, so they run up to length 10
+    if chunk is not None:
+        monkeypatch.setattr(saw, "_CHUNK", chunk)
+    for (L, cap), (want, lines) in reference_values.items():
+        if (L - 1) + cap > top:
+            continue
+        got = _engine_values(L, cap)
+        assert got == want, (L, cap)
+        assert repr(got) == repr(want), (L, cap)
+        assert [p.to_line() for p in enumerate_saw((0.5, 0), (L - 0.5, 0),
+                                                   cap)] == lines, (L, cap)
+
+
+@pytest.mark.parametrize("chunk", [3, 17, 1024])
+@pytest.mark.parametrize("L,cap", [(2, 6), (3, 6), (4, 5)])
+def test_each_length_arrives_in_depth_first_order(monkeypatch, L, cap, chunk):
+    # the free-end search without the reflection: every prefix arrives
+    monkeypatch.setattr(saw, "_CHUNK", chunk)
+    args = (1, 0), (2 * L - 1, 0), (L - 1) + cap
+    want, got = {}, {}
+    reference = _ReferenceDFS(*args, free_end=True)
+    for n, _, _ in reference:
+        want.setdefault(n, []).append(reference.path[:])
+    for n, cells, *_ in saw._Search(*args, free_end=True):
+        got.setdefault(n, []).extend(cells.tolist())
+    assert got == want
+
+
 def test_one_search_per_path_set_across_betas(monkeypatch):
     searches = []
 
@@ -618,20 +841,20 @@ def test_halved_search_counts_equal_the_full_search(monkeypatch, L):
 def test_halved_free_end_search_walks_half(monkeypatch, L, cap):
     # the full search, its flat arrivals told apart by their row
     search = saw._Search((1, 0), (2 * L - 1, 0), (L - 1) + cap, free_end=True)
-    row = search.path[0] % search.H
+    row = search.start % search.H
     full = flat = 0
-    for _ in search:
-        full += 1
-        flat += all(i % search.H == row for i in search.path)
+    for _, cells, *_ in search:
+        full += len(cells)
+        flat += int((cells % search.H == row).all(axis=1).sum())
     # the search behind grand_canonical walks the flat path once and each
     # N-first path for itself and its S-first mirror image
     arrived = []
 
     class Counting(saw._Search):
         def __iter__(self):
-            for arrival in super().__iter__():
-                arrived.append(arrival)
-                yield arrival
+            for batch in super().__iter__():
+                arrived.extend(batch[1])
+                yield batch
 
     monkeypatch.setattr(saw, "_Search", Counting)
     _free_end_counts.__wrapped__(L, cap)
