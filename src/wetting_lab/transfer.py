@@ -13,18 +13,17 @@ Conventions, fixed once for every operation here and in the oracle:
   * potential levels index absolute heights (level 0 is the start height),
     regardless of the wall depth.
 
-Each step of the sweep is one ``np.correlate`` of the scaled state vector
-with the reversed stencil, one max, one in-place division by it and a few
-scalar reads; the profiles that take no amplitude (midpoint profiles, free
-bridge log Z) are swept once per kernel and length and kept read-only in
-the one process-wide cache of ``certify``.
+Every kernel is symmetric, so a bridge of length 2t or 2t-1 splits at
+time t into legs of t and t or t-1 steps from height 0: one sweep of
+ceil(L/2) steps (each one ``np.correlate`` of the scaled state vector with
+the reversed stencil, one max and one division) gives the log Z and
+midpoint profiles up to L; ``certify`` caches the amplitude-free ones.
 
-Window truncation is monitored, not assumed: a profile sweep grows its
-window in place from the mass its edge rows carry, and stops at an exact
-fixed point, which a localized sweep reaches within a few thousand steps
-(see ``_sweep``).  Past ``_STATE_CAP`` rows, or after 8 doublings of the
-midpoint sweep's fixed window, a relative edge mass above ``DEFECT_TOL``
-raises TruncationError.
+Window truncation is monitored, not assumed: the sweep grows its window in
+place from the mass its edge rows carry, and stops at an exact fixed point,
+which a localized sweep reaches within a few thousand steps; past
+``_STATE_CAP`` rows a relative edge mass above ``DEFECT_TOL`` raises
+TruncationError.
 """
 
 from __future__ import annotations
@@ -43,11 +42,13 @@ DEFECT_TOL = 1e-12
 _STATE_CAP = 1 << 17
 _GROW = float(1 << 53)  # edge mass times this above the reference grows
 _EPS_MAX = math.log(np.finfo(float).max)  # largest reward with finite e^eps
+_SUM_MAX = 2.0 ** 1006  # a read scales larger weights down: 2^17 add up
+_BLOCK = 1 << 13    # stored cells (steps x rows) a reader gets at once
 _EIG_TOL = 1e-10    # Lanczos residual tolerance of free_energy
 
 
 # ---------------------------------------------------------------------------
-# sweep engine: whole length profiles in one pass, scaled linear domain
+# sweep engine: half-length legs in one pass, scaled linear domain
 # ---------------------------------------------------------------------------
 
 
@@ -55,23 +56,22 @@ _EIG_TOL = 1e-10    # Lanczos residual tolerance of free_energy
 class _Window:
     base: int      # absolute height of state 0
     n: int         # state count
-    start: int
-    end: int
+    start: int     # state of height 0
     walled: bool
 
 
-def _make_window(kernel: WalkKernel, L: int, wall: int | None,
+def _make_window(kernel: WalkKernel, T: int, wall: int | None,
                  pot: PinningPotential | None) -> _Window:
-    """The floor window of an L-step sweep, from the start up (and, with no
-    wall, down): the rewarded levels a bridge of length L can reach, plus
+    """The floor window of a T-step sweep, from the start up (and, with no
+    wall, down): the rewarded levels a leg of T steps can reach, plus
     4 max_step rows, and at least max(4 max_step, 16) rows."""
     m = kernel.max_step
     spread = max(4 * m, 16)
     if pot is not None and pot.support:
-        spread = max(spread, min(pot.support[-1], (L // 2) * m) + 4 * m)
+        spread = max(spread, min(pot.support[-1], T * m) + 4 * m)
     if wall is not None:
-        return _Window(-wall, wall + spread + 1, wall, wall, walled=True)
-    return _Window(-spread, 2 * spread + 1, spread, spread, walled=False)
+        return _Window(-wall, wall + spread + 1, wall, walled=True)
+    return _Window(-spread, 2 * spread + 1, spread, walled=False)
 
 
 def _diag_for(window: _Window,
@@ -86,7 +86,7 @@ def _diag_for(window: _Window,
         raise ParameterError(
             f"pinning reward {eps.max():.6g} is beyond the float range of the "
             f"transfer weights (at most {_EPS_MAX:.6g})")
-    return np.exp(eps)
+    return np.exp(eps) if eps.any() else None
 
 
 def _min_positive(s: np.ndarray) -> float:
@@ -94,93 +94,93 @@ def _min_positive(s: np.ndarray) -> float:
     return s.min(where=s > 0.0, initial=math.inf).item()
 
 
-def _sweep(kernel: WalkKernel, L: int, window: _Window,
-           pot: PinningPotential | None, defect_tol: float, on_step=None):
-    """Run L steps; return (logZ profile for lengths 1..L, defect flag).
+def _sweep(kernel: WalkKernel, T: int, window: _Window,
+           pot: PinningPotential | None, read):
+    """Run up to T steps from height 0; return (defect flag, fixed point).
 
-    ``on_step(t, v)``, if given, is called with the scaled state vector after
-    t steps for t = 0, 1, ..., which the sweep never writes to afterwards.
-    The window then stays fixed, and edge rows with a relative mass above
-    ``defect_tol`` end the sweep with the flag set.
+    Step t maps v_{t-1} to v_t = P D v_{t-1} / m_t (P the stencil on the
+    window, by ``np.correlate`` with it reversed: the sums ``np.convolve``
+    forms, without its argument checks; D the weights e^eps but not at step
+    1; m_t the max), so v_t is the leg weight F_t scaled to max 1.  The
+    vectors fill a buffer of ``_BLOCK`` cells (two rows at least), handed
+    to ``read(rows, ms, t, window, diag)``: rows v_t..v_{t+k}, maxima
+    m_{t+1}..m_{t+k}, and their window and weights.
 
-    Without ``on_step`` the window grows in place: when a step leaves its
-    edge rows more than 2^-53 of the smallest positive entry on the read-out
-    row (height 0) and the rewarded rows a bridge of length L can reach
-    (read, as one slice, only when the edge carries mass), the open sides
-    double and the step is redone from the zero-padded previous vector; past
-    ``_STATE_CAP`` rows the ``defect_tol`` test decides.  Such a sweep also
-    ends at an exact fixed point: from step 2 on every step is the same map,
-    so once a step returns its input bit for bit (the vectors hold no NaN
-    and no -0.0), every later one returns it with the same max, and the rest
-    of the profile is filled with the additions those steps would make.
-
-    ``np.correlate`` with the reversed stencil forms the sums
-    ``np.convolve`` forms, in the same order, without its argument checks;
-    scalars are read by ``.item()``, the max at ``argmax``."""
+    The window grows in place: when a step leaves its edge rows more than
+    2^-53 of the smallest positive entry on the start row and the rewarded
+    rows a leg of T steps can reach (read, as one slice, only when the edge
+    carries mass), the open sides double and the step is redone from the
+    zero-padded previous vector; past ``_STATE_CAP`` rows a relative edge
+    mass above ``DEFECT_TOL`` sets the flag and ends the sweep, and a max of
+    0 (every path died inside the window) ends it unflagged.  From step 2
+    on every step is the same map, so once step k returns its input bit for
+    bit (the vectors hold no NaN and no -0.0) every later one returns it
+    with the same max m: the sweep ends with the fixed point (k, m)."""
     stencil = kernel.prob_array()[::-1].copy()
     mstep = kernel.max_step
-    grows = on_step is None
-    # the rewarded levels above height 0 (the read-out row) within reach
-    top = [j for j in (pot.support if pot else ()) if 0 < j <= L // 2 * mstep]
+    # the rewarded levels above height 0 (the start row) within reach
+    top = [j for j in (pot.support if pot else ()) if 0 < j <= T * mstep]
     lo, hi = (top[0], top[-1] + 1) if top else (0, 0)
     diag = _diag_for(window, pot)
-    n, end, walled = window.n, window.end, window.walled
-    v = np.zeros(n)
-    v[window.start] = 1.0
-    if on_step is not None:
-        on_step(0, v)
-    scale = 0.0
+    n, start, walled = window.n, window.start, window.walled
+    buf = np.zeros((max(2, _BLOCK // n), n))  # the block's vectors
+    buf[0, start] = 1.0
+    ms, done = [], 0  # the maxima of buf[1:len(ms) + 1], and steps read
+
+    def flush():  # hand the stored steps over, keeping the last vector
+        nonlocal ms, done
+        if ms:
+            read(buf[:len(ms) + 1], ms, done, window, diag)
+            buf[0] = buf[len(ms)]
+        ms, done = [], done + len(ms)
+
     m_prev = math.nan  # step 1 applies a different map: never a match
-    logz = np.full(L + 1, -math.inf)
-    for t in range(1, L + 1):
-        prev = v
+    for t in range(1, T + 1):
+        prev = buf[len(ms)]
         while True:
             u = prev if (diag is None or t == 1) else prev * diag
             v = np.correlate(u, stencil, "same")
             m = v.item(v.argmax())  # the max, without a ufunc reduction
             if m <= 0.0:
-                return logz, False  # every path died inside the window
-            v /= m
+                flush()
+                return False, None
+            v = np.divide(v, m, out=buf[len(ms) + 1])
             if mstep == 1:
                 edge = v.item(-1) if walled else max(v.item(-1), v.item(0))
             else:
                 edge = v[n - mstep:].sum().item()
                 if not walled:
                     edge = max(edge, v[:mstep].sum().item())
-            ve = v.item(end)
             over = edge * _GROW
-            if not (grows and over > 0.0 and (
-                    over > ve > 0.0
-                    or hi and over > _min_positive(v[end + lo:end + hi]))):
+            if not (over > 0.0 and (
+                    over > v.item(start) > 0.0
+                    or hi and over > _min_positive(v[start + lo:start + hi]))):
                 break
             # each open side twice as far from the start
-            low, high = (0 if walled else window.start), n - 1 - window.start
+            low, high = (0 if walled else start), n - 1 - start
             if n + low + high > _STATE_CAP:
                 break
-            prev = np.pad(prev, (low, high))
-            window = _Window(window.base - low, n + low + high,
-                             window.start + low, end + low, walled)
-            n, end = window.n, window.end
+            flush()
+            n, start = n + low + high, start + low
+            window = _Window(window.base - low, n, start, walled)
             diag = _diag_for(window, pot)
-        # v.max() == 1 now, so v.sum() >= 1: edge <= defect_tol cannot trip
+            prev = np.pad(buf[0], (low, high))
+            buf = np.zeros((max(2, _BLOCK // n), n))
+            buf[0] = prev
+        # v.max() == 1 now, so v.sum() >= 1: edge <= DEFECT_TOL cannot trip
         # the relative test, and the sum is only needed past that point
-        if edge > defect_tol and edge / v.sum().item() > defect_tol:
-            return logz, True
-        scale += math.log(m)
-        if on_step is not None:
-            on_step(t, v)
-        logz[t] = scale + math.log(ve) if ve > 0.0 else -math.inf
-        if m == m_prev and grows and v.tobytes() == prev.tobytes():
-            if ve > 0.0:
-                # add.accumulate adds left to right, as `scale += log(m)`
-                tail = logz[t:]
-                tail[0] = scale
-                tail[1:] = math.log(m)
-                np.add.accumulate(tail, out=tail)
-                tail += math.log(ve)
-            return logz, False
+        if edge > DEFECT_TOL and edge / v.sum().item() > DEFECT_TOL:
+            flush()
+            return True, None
+        ms.append(m)
+        if m == m_prev and v.tobytes() == prev.tobytes():
+            flush()
+            return False, (t, m)
+        if len(ms) + 1 == len(buf):
+            flush()
         m_prev = m
-    return logz, False
+    flush()
+    return False, None
 
 
 def partition_profile(
@@ -190,18 +190,42 @@ def partition_profile(
     wall: int | None = None,
     pot: PinningPotential | None = None,
 ) -> np.ndarray:
-    """log Z for every length 1..L_max in one pass (entry 0 is unused -inf)."""
+    """log Z for every length 1..L_max in one pass (entry 0 is unused -inf):
+    Z_2t = sum_h F_t(h)^2 e^eps(h) and Z_2t-1 = sum_h F_t(h) e^eps(h)
+    F_t-1(h), read from vectors of max 1, so no entry far below the peak
+    decides a value.  Past a fixed point each length adds log m."""
     if L_max < 1:
         raise ParameterError("L_max must be at least 1")
     if wall is not None and wall < 0:
         raise ParameterError("wall depth must be nonnegative")
-    window = _make_window(kernel, L_max, wall, pot)
-    logz, defect = ((None, True) if window.n > _STATE_CAP else
-                    _sweep(kernel, L_max, window, pot, DEFECT_TOL))
+    T = (L_max + 1) // 2
+    logz = np.full(2 * T + 1, -math.inf)
+    scale = 0.0  # the log of the product of the maxima read so far
+
+    def read(rows, ms, t, window, diag):
+        nonlocal scale
+        s = np.add.accumulate(np.concatenate(([scale], np.log(ms))))
+        d = np.ones(rows.shape[1]) if diag is None else diag
+        h = min(1.0, _SUM_MAX / d.max())  # 1.0 unless a reward is near e^709
+        out = logz[2 * t + 1:2 * (t + len(ms)) + 1].reshape(-1, 2)
+        odd, even = (np.log(np.einsum("ij,j,ij->i", a, d * h, rows[1:]))
+                     for a in (rows[:-1], rows[1:]))
+        out[:, 0] = s[:-1] + s[1:] + odd - math.log(h)
+        out[:, 1] = 2.0 * s[1:] + even - math.log(h)
+        scale = s[-1].item()
+
+    window = _make_window(kernel, T, wall, pot)
+    defect, fixed = ((True, None) if window.n > _STATE_CAP else
+                     _sweep(kernel, T, window, pot, read))
+    logz[1] = math.log(kernel.prob(0))  # one step, and no reward at the start
     if defect:
-        raise TruncationError(f"window growth exhausted at L_max={L_max}",
-                              partial=logz)
-    return logz
+        raise TruncationError(
+            f"window growth exhausted at L_max={L_max}",
+            partial=logz[:L_max + 1] if window.n <= _STATE_CAP else None)
+    if fixed:  # add.accumulate adds left to right, as a running scale would
+        logz[2 * fixed[0] + 1:] = math.log(fixed[1])
+        np.add.accumulate(logz[2 * fixed[0]:], out=logz[2 * fixed[0]:])
+    return logz[:L_max + 1]
 
 
 def log_partition(
@@ -220,43 +244,40 @@ def midpoint_prob(kernel: WalkKernel, L: int, j: int) -> np.ndarray:
     every 2 <= l <= L.  Entries 0 and 1 are unused (1.0).  Where
     j >= l*max_step the wall is out of reach and the entry is exactly 1.0.
 
-    One sweep of L//2 steps on the window of length L serves every l: the
-    legs of length 2t are the state vectors after t and t-1 steps, those of
-    2t+1 the vector after t steps twice, so only the previous one is kept.
-    """
+    Legs of s and s-1 steps end at the middle heights of the bridge of
+    length 2s, two legs of s-1 steps at those of 2s-1, joined by one step
+    P.  As P v_{s-1} = m_s v_s, the bridge sums are m_s |v_s|^2 and
+    m_s v_{s-1}.v_s; the event's are the same over heights >= -j, less the
+    joining steps that start in the m = max_step rows below -j."""
     if L < 2:
         raise ParameterError("needs L >= 2")
     if j < 0:
         raise ParameterError("j must be nonnegative")
-    prof = np.ones(L + 1)
-    if j >= L * kernel.max_step:
-        return prof
-    parr = kernel.prob_array()
-    for grow in range(8):
-        w = int(math.ceil(8.0 * math.sqrt(kernel.sigma2 * L)))
-        w = (max(w, j + 2 * kernel.max_step, 16) + 2 * kernel.max_step) << grow
-        if 2 * w + 1 > _STATE_CAP:
-            break
-        window = _Window(base=-w, n=2 * w + 1, start=w, end=w, walled=False)
-        mask = np.arange(window.n) + window.base >= -j
-        last = None  # the previous vector and its masked copy, each stepped
+    T = (L + 1) // 2
+    prof = np.ones(2 * T + 1)
+    m = kernel.max_step
+    # the step from height -j-m+b up to -j+a
+    cross = np.array([[kernel.prob(m + a - b) for b in range(m)]
+                      for a in range(m)])
 
-        def on_step(t: int, v: np.ndarray) -> None:
-            nonlocal last
-            vm = v * mask
-            now = (np.convolve(v, parr, mode="same"),
-                   np.convolve(vm, parr, mode="same"))
-            if t:
-                # num and den carry the same dropped log scales, which cancel
-                for l, (cg, cgm) in ((2 * t, last), (2 * t + 1, now)):
-                    if l <= L:
-                        prof[l] = float(vm @ cgm) / float(v @ cg)
-            last = now
+    def read(rows, ms, t, window, diag):
+        w = max(-j - window.base, 0)  # the state of height -j, or 0
+        c = cross[:window.n - w, max(m - w, 0):]
+        out = prof[2 * t + 1:2 * (t + len(ms)) + 1].reshape(-1, 2)
+        for col, a in ((0, rows[:-1]), (1, rows[1:])):  # 2s-1 and 2s
+            low = np.einsum("ij,ij->i", a[:, :w], rows[1:, :w])
+            high = np.einsum("ij,ij->i", a[:, w:], rows[1:, w:])
+            cut = np.einsum("ia,ab,ib->i", a[:, w:w + m], c,
+                            rows[:-1, max(w - m, 0):w])
+            out[:, col] = (high - cut / ms) / (high + low)
 
-        _, defect = _sweep(kernel, L // 2, window, None, DEFECT_TOL, on_step)
-        if not defect:
-            return prof
-    raise TruncationError(f"midpoint window exhausted at L={L}, j={j}")
+    defect, fixed = _sweep(kernel, T, _make_window(kernel, T, None, None),
+                           None, read)
+    if defect:
+        raise TruncationError(f"midpoint window exhausted at L={L}, j={j}")
+    if fixed:  # every later pair of legs is the pair at the fixed point
+        prof[2 * fixed[0] + 1:] = prof[2 * fixed[0]]
+    return prof[:L + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +315,7 @@ def free_energy(
     so the true rate is >= 0, and truncation approaches it from below in the
     delocalized phase.  Cross-check: two-point slope of log Z at L_cross.
     Disagreement beyond 10*tol flags the result but still returns it; a
-    log Z that is not finite there (a reward so large that the sweep's
-    weight at height 0 falls below the float range) refuses the slope.
+    log Z that is not finite there refuses the slope.
     """
     from .spectral import _EIG_H_CAP, _eigen_windows
 

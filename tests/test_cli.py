@@ -111,6 +111,19 @@ def test_free_energy_huge_reward_is_parameter_error(tmp_path, capsys, eps):
         "float range of the pinned operator" in err
 
 
+def test_free_energy_cross_check_under_a_dominant_reward(tmp_path):
+    # e^246 at level 4 leaves the height-0 weight below e^-709 of the peak;
+    # the two-leg read of log Z stays finite and the slope agrees
+    rc = main(["free-energy", "--kernel", "binomial:sigma2=0.25",
+               "--pot", "single:j=4,eps=246.0", "--L-cross", "64",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    result = _strict_json(tmp_path / "free_energy.json")
+    assert not result["flagged"]
+    assert result["f_hat"] == pytest.approx(245.71231792755, rel=1e-12)
+    assert result["gap"] <= 1e-11
+
+
 @pytest.mark.parametrize("argv", [
     ["certify-deloc", "--kernel", "binomial:sigma2=0.5",
      "--pot", "single:j=0,eps=0.01", "--b", "2000"],

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from wetting_lab.kernels import (
 )
 from wetting_lab.potentials import make_family, parse_potential_spec
 from wetting_lab.rw_oracle import clt_band, max_enumerable_L, oracle_partition
-from wetting_lab.transfer import log_partition
+from wetting_lab.transfer import log_partition, partition_profile
 
 K5 = make_binomial(0.5)
 
@@ -144,6 +145,20 @@ def test_oracle_is_the_exact_height_dp(gap_kernel):
                 z = oracle_partition(kernel, L, wall=wall, pot=pot,
                                      mode="float")
             assert _rel(z, _exact_z(kernel, L, wall, pot)) <= 1e-14, (name, L)
+
+
+def test_two_leg_profile_is_the_exact_height_dp(gap_kernel):
+    # log Z read from half-length legs, at every length up to the cap (odd
+    # and even), against the exact rational DP
+    kernels = (K5, parse_kernel_spec("sos:beta=2.5"), gap_kernel)
+    pots = (None, make_family("single", j=1, amplitude=0.4),
+            make_family("exp", delta=1.0, amplitude=0.2))
+    for kernel, wall, pot in itertools.product(kernels, (None, 0, 3), pots):
+        cap = max_enumerable_L(kernel)
+        prof = partition_profile(kernel, cap, wall=wall, pot=pot)
+        for L in range(1, cap + 1):
+            assert _rel(math.exp(prof[L]), _exact_z(kernel, L, wall, pot)) \
+                <= 1e-13, (kernel.family, wall, pot, L)
 
 
 def test_zero_weight_steps_are_not_expanded(gap_kernel, monkeypatch):
