@@ -11,6 +11,7 @@ discrete sine profile on a window [0, d].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -221,29 +222,19 @@ def top_eigenvalue(op: PinnedOperator, tol: float = 1e-10) -> EigenEstimate:
                          converged=res <= tol * max(1.0, abs(value)))
 
 
-def _min_pivot(op: PinnedOperator, shift: float) -> float:
-    """Smallest LDL^T pivot of shift*I - A on the window of ``op``; 0.0 as
-    soon as a pivot is not positive.
-
-    Blocked Cholesky over blocks of b = max(64, m) rows, so only the
-    m x m corner couples neighbouring blocks: each block's Schur complement
-    needs just the inverse of the previous factor's last m x m corner.  All
-    pivots positive means shift*I - A is positive definite (Sylvester's law
-    of inertia), so every Rayleigh quotient of A on the window, or on any
-    leading block of it, is below ``shift``.
-    """
-    m = op.max_step
+def _eliminate(stencil: np.ndarray, m: int, shift: float, e: np.ndarray,
+               s0: int = 0, best: float = math.inf, corner_inv=None):
+    """(smallest pivot, inverse of the factor's last m x m corner) of the
+    blocked Cholesky of shift*I - diag(e) P diag(e) in blocks of max(64, m)
+    rows, continued from that state after rows [0, s0); 0.0 once one fails."""
     b = max(64, m)
     k = np.arange(b)
     off = k[:, None] - k[None, :]
-    band = np.where(np.abs(off) <= m, op.stencil[np.clip(off + m, 0, 2 * m)], 0.0)
+    band = np.where(np.abs(off) <= m, stencil[np.clip(off + m, 0, 2 * m)], 0.0)
     # A between the first rows of a block and the last m of the one before
     # (the sign of this coupling drops out of the Schur update)
-    couple = np.triu(op.stencil[np.clip(off[:m, :m] + 2 * m, 0, 2 * m)])
-    e = op.exp_half
-    best = math.inf
-    corner_inv = None
-    for s in range(0, op.dim, b):
+    couple = np.triu(stencil[np.clip(off[:m, :m] + 2 * m, 0, 2 * m)])
+    for s in range(s0, len(e), b):
         es = e[s:s + b]
         nb = len(es)
         schur = shift * np.eye(nb) - es[:, None] * band[:nb, :nb] * es
@@ -254,11 +245,34 @@ def _min_pivot(op: PinnedOperator, shift: float) -> float:
         try:
             fac = np.linalg.cholesky(schur)
         except np.linalg.LinAlgError:
-            return 0.0
+            return 0.0, None
         best = min(best, float(np.diag(fac).min()) ** 2)
-        if s + b < op.dim:
+        if nb == b:
             corner_inv = np.linalg.inv(fac[b - m:, b - m:])
-    return best
+    return best, corner_inv
+
+
+@functools.lru_cache(maxsize=32)
+def _free_blocks(stencil: bytes, m: int, shift: float, rows: int):
+    """_eliminate's state after ``rows`` reward-free rows (whole blocks), the
+    same for every potential on the kernel; each keeps one m x m corner."""
+    state = _eliminate(np.frombuffer(stencil), m, shift, np.ones(rows))
+    if state[1] is not None:
+        state[1].flags.writeable = False
+    return state
+
+
+def _min_pivot(op: PinnedOperator, shift: float) -> float:
+    """Smallest LDL^T pivot of shift*I - A on the window of ``op``, or 0.0
+    once one is not positive.  Rows are eliminated from the far end, so the
+    blocks of reward-free rows (the stencil is symmetric) come first and are
+    cached.  All pivots positive means shift*I - A is positive definite
+    (Sylvester's law of inertia): every Rayleigh quotient of A on the window,
+    or on any block of it, is below ``shift``."""
+    m, b, e = op.max_step, max(64, op.max_step), op.exp_half[::-1]
+    rows = np.flatnonzero(e != 1.0).min(initial=op.dim) // b * b
+    state = _free_blocks(op.stencil.tobytes(), m, shift, rows)
+    return _eliminate(op.stencil, m, shift, e, rows, *state)[0]
 
 
 def _eigen_windows(kernel: WalkKernel, pot: PinningPotential, h: int,
@@ -377,17 +391,13 @@ def localization_certificate(kernel: WalkKernel,
     # every eigen window below is a leading block of the cap window, so a
     # positive definite (1 + margin) I - A there rules out all of them
     shift = 1.0 + _EIG_MARGIN
-    if _min_pivot(pinned_operator(kernel, pot, _EIG_H_CAP), shift) > 0.0:
-        # the far rows give the free walk's bulk pivot whatever the rewards;
-        # the rows the potential touches lead the factorisation, so their
-        # smallest pivot is that of a leading block and moves with them
-        touched = min(pot.j_max + kernel.max_step, _EIG_H_CAP)
+    pivot = _min_pivot(pinned_operator(kernel, pot, _EIG_H_CAP), shift)
+    if pivot > 0.0:
         evidence.append(Evidence(
-            scale=_EIG_H_CAP, check="inertia",
-            measured=_min_pivot(pinned_operator(kernel, pot, touched), shift),
+            scale=_EIG_H_CAP, check="inertia", measured=pivot,
             threshold=0.0, passed=False,
             detail=(f"smallest LDL^T pivot of (1 + {_EIG_MARGIN:g}) I - A "
-                    f"on the rows [0, {touched}] the potential touches"),
+                    f"on [0, {_EIG_H_CAP}], eliminated from the far end"),
         ))
         return cert(UNDETERMINED, "no certificate found",
                     f"(1 + {_EIG_MARGIN:g}) I - A is positive definite on "

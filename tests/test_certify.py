@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from wetting_lab import certify
+from wetting_lab import certify, spectral
 from wetting_lab.certificates import (
     Certificate,
     DELOCALIZED_EMPIRICAL,
@@ -254,6 +254,23 @@ def test_threshold_sweeps_each_free_profile_once(monkeypatch):
     assert sum(v != "localized" for _, v in br.trail) >= 2
     assert free == [2048]
     assert mid == [(2048, 0)]
+
+
+def test_threshold_factors_the_free_rows_once_per_shift():
+    # the benchmark's threshold run: the five certificates that reach the
+    # inertia test on [0, 2^13] share one factorisation of its 8,192 free
+    # rows; free_energy_crossing's steps share one more, at shift 1
+    spectral._free_blocks.cache_clear()
+
+    def mk(amp):
+        return make_family("single", j=0, amplitude=amp)
+
+    wetting_threshold(K1, mk, 0.01, 0.2, L_max=2048)
+    info = spectral._free_blocks.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+    free_energy_crossing(K1, mk, 0.01, 0.2)
+    after = spectral._free_blocks.cache_info()
+    assert after.misses == 2 and after.hits > info.hits + 2
 
 
 def test_deloc_exhaustive_sweeps_one_midpoint_profile(monkeypatch):

@@ -316,16 +316,89 @@ def test_min_pivot_of_one_row_and_free_walk():
     assert _min_pivot(pinned_operator(K1, zero, 8192), 1.0) > 0.0
 
 
-def test_inertia_row_moves_with_the_reward():
-    # the threshold workload's three points ruled out by inertia; the
-    # smallest pivot of the whole window lies in the bulk, 0.050022 for all
-    # three, so only the rows near the potential tell them apart
+@pytest.mark.parametrize("kernel", [K1, make_binomial(0.25), K5,
+                                    make_sos(2.5)],
+                         ids=lambda k: k.spec_string())
+def test_far_end_pivot_sign_matches_dense_spectrum(monkeypatch, kernel):
+    # rewards straddle the 64-row block edges (j=63 and the exp and power
+    # tails); h=64 ends on a 1-row block, shorter than the sos stencil
+    # (m=11), and h=129 on a 2-row one; the free rows ahead of the rewards,
+    # all rows of the all-free window, come from the cache in whole blocks
+    rows = []
+    real = spectral._free_blocks
+
+    def counting(stencil, m, shift, n):
+        rows.append(n)
+        return real(stencil, m, shift, n)
+
+    monkeypatch.setattr(spectral, "_free_blocks", counting)
+    free = make_family("list", values=[0.0])
+    pots = [free] + [mk(a) for mk, a in itertools.product(
+        _PIVOT_POTS[1:] + (lambda a: make_family("single", j=63,
+                                                 amplitude=a),),
+        np.geomspace(0.005, 0.4, 5))]
+    signs = set()
+    for pot, h in itertools.product(pots, (63, 64, 65, 128, 129, 300)):
+        op = pinned_operator(kernel, pot, h)
+        dense = _dense(op)
+        for shift in (1.0, 1.0 + 1e-8):
+            lam = np.linalg.eigvalsh(shift * np.eye(op.dim) - dense)[0]
+            pivot = _min_pivot(op, shift)
+            assert (pivot > 0.0) == (lam > 0.0), (pot.spec_string(), h)
+            if pivot > 0.0:
+                assert lam <= pivot * (1.0 + 1e-9)
+            signs.add(lam > 0.0)
+    assert signs == {True, False}
+    assert {0, 64, 128, 192, 256} <= set(rows)
+
+
+def test_free_block_cache_is_exact():
+    spectral._free_blocks.cache_clear()
+    pot = make_family("single", j=3, amplitude=0.005)
+    for kernel in (K1, make_sos(2.5)):
+        op = pinned_operator(kernel, pot, 1000)
+        before = spectral._free_blocks.cache_info()
+        cold = _min_pivot(op, 1.0 + 1e-8)
+        warm = _min_pivot(op, 1.0 + 1e-8)
+        info = spectral._free_blocks.cache_info()
+        assert cold == warm > 0.0
+        # the same elimination without the cache, rewarded rows last
+        assert cold == spectral._eliminate(op.stencil, op.max_step,
+                                           1.0 + 1e-8, op.exp_half[::-1])[0]
+        assert (info.misses - before.misses, info.hits - before.hits) == (1, 1)
+        # a second amplitude on the same kernel reuses the free rows
+        _min_pivot(pinned_operator(kernel, pot.scaled(1.5), 1000), 1.0 + 1e-8)
+        after = spectral._free_blocks.cache_info()
+        assert (after.misses, after.hits) == (info.misses, info.hits + 1)
+    state = spectral._free_blocks(K1.prob_array().tobytes(), 1, 1.0, 128)
+    with pytest.raises(ValueError):
+        state[1][0, 0] = 0.0
+
+
+def test_inertia_row_moves_with_the_reward(monkeypatch):
+    # the threshold workload's three points ruled out by inertia; eliminated
+    # from the far end, the 8,192 free rows reach the bulk pivot 0.050022
+    # for all three, and the smallest pivot falls in the last rows, where
+    # the reward sits
+    real = spectral._min_pivot
+    calls = []
+
+    def counting(op, shift):
+        calls.append(op.dim)
+        return real(op, shift)
+
+    monkeypatch.setattr(spectral, "_min_pivot", counting)
     measured = []
     for eps in (0.01, 0.03375, 0.045625):
-        cert = localization_certificate(
-            K1, make_family("single", j=0, amplitude=eps))
-        assert cert.evidence[-1].check == "inertia"
-        measured.append(cert.evidence[-1].measured)
+        pot = make_family("single", j=0, amplitude=eps)
+        calls.clear()
+        cert = localization_certificate(K1, pot)
+        assert calls == [8193]
+        row = cert.evidence[-1]
+        assert row.check == "inertia"
+        assert row.measured == real(pinned_operator(K1, pot, 8192),
+                                    1.0 + 1e-8)
+        measured.append(row.measured)
     assert measured[0] > measured[1] > measured[2] > 0.0
 
 
