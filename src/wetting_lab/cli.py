@@ -261,11 +261,11 @@ def _cmd_oracle_check(args) -> int:
         variants.append(("mixed_wall0", 0, mixed))
         for name, wall, p in variants:
             log_z = partition_profile(kernel, L_top, wall=wall, pot=p)
+            z_o = oracle_partition(kernel, L_top, wall=wall, pot=p).tolist()
             err = 0.0
             for L in range(1, L_top + 1):
                 z_t = math.exp(float(log_z[L]))
-                z_o = oracle_partition(kernel, L, wall=wall, pot=p)
-                err = max(err, abs(z_t - z_o) / z_o)
+                err = max(err, abs(z_t - z_o[L]) / z_o[L])
             rows.append({"sigma2": s2, "variant": name, "L_max": L_top,
                          "max_rel_err": err})
             worst = max(worst, err)

@@ -2,14 +2,17 @@
 
 Every quantity the transfer module produces is cross-checked here on small
 lengths by explicitly enumerating all bridges, with one float accumulator
-that meets in the middle (Horowitz–Sahni, J. ACM 21, 1974).  The
-ceil(L/2) steps from the start and the floor(L/2) steps back from the end
-are each expanded literally, one numpy row per half path, carrying the wall
-and the rewards of their own interior times; each half's weights are summed
-per end height (sorted, then one pairwise ``ndarray.sum`` per height), and
-Z_L = sum_h F(h) e^{eps(h)} B(h), the midpoint reward applied once.  About
-2 * 3^{L/2} rows instead of 3^L; against an exact rational height DP the
-values agree to ~1e-15 relative.  Nothing is kept between calls.
+that meets in the middle (Horowitz–Sahni, J. ACM 21, 1974).  One call
+gives Z_L for every L up to L_max from one pair of expansions: the
+ceil(L_max/2) steps from the start and the floor(L_max/2) steps back from
+the end are each expanded literally, one numpy row per half path, carrying
+the wall and the rewards of their own interior times.  At every level each
+half's weights are summed per end height (sorted, then one pairwise
+``ndarray.sum`` per height), and Z_L = sum_h F(h) e^{eps(h)} B(h) meets
+level ceil(L/2) of the forward half with level floor(L/2) of the backward
+one, the midpoint reward applied once.  About 2 * 3^{L_max/2} rows instead
+of 3^L per length; against an exact rational height DP the values agree to
+~1e-15 relative.  Nothing is kept between calls.
 
 The oracle refuses above its cost cap rather than approximate.
 """
@@ -58,94 +61,106 @@ def _pot_factor_table(pot: PinningPotential | None, span: int) -> np.ndarray | N
     return table
 
 
-def _half_sums(offs: np.ndarray, pv: np.ndarray, n: int, L: int, m: int,
-               wall: int | None, factor: np.ndarray | None,
-               span: int) -> tuple[np.ndarray, np.ndarray]:
-    """Heights and per-height weight sums of the n-step half paths of a
-    length-L bridge (stencil reach m), expanded literally from height 0 with
-    steps ``offs`` of weights ``pv``, one row per path.
+def _half_levels(offs: np.ndarray, pv: np.ndarray, n: int,
+                 wall: int | None, factor: np.ndarray | None,
+                 span: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Heights and per-height weight sums of the t-step half paths, for
+    every t = 0..n, expanded literally from height 0 with steps ``offs`` of
+    weights ``pv``, one row per path.
 
-    Rows obey the wall and the reach of the remaining L - t steps, and carry
-    the reward (``factor``, indexed by height + span) of their interior
-    times 1..n-1; time n is the midpoint, rewarded once by the caller.  The
-    caller passes only the steps of positive weight, so no row is a path of
-    weight 0.  Each height's rows are summed by one pairwise ``ndarray.sum``
+    Rows obey the wall and carry the reward (``factor``, indexed by height +
+    span) of their interior times 1..t-1; time t is the midpoint, rewarded
+    once by the caller.  The caller passes only the steps of positive
+    weight, so no row is a path of weight 0.  Each height's rows are summed,
+    in the order they were expanded, by one pairwise ``ndarray.sum``
     (``np.bincount`` would sum them in sequence).
     """
     h = np.zeros(1, dtype=offs.dtype)
     w = np.ones(1)
+    levels = [(h, w)]
     for t in range(1, n + 1):
         if t >= 2 and factor is not None:
             w = w * factor[h + span]
         h = (h[:, None] + offs[None, :]).reshape(-1)
         w = (w[:, None] * pv[None, :]).reshape(-1)
-        keep = np.abs(h) <= (L - t) * m
         if wall is not None:
-            keep &= h >= -wall
-        h, w = h[keep], w[keep]
-    order = np.argsort(h, kind="stable")
-    h, w = h[order], w[order]
-    heights, starts = np.unique(h, return_index=True)
-    ends = np.append(starts[1:], h.size)
-    return heights, np.array([w[i:j].sum() for i, j in zip(starts, ends)])
+            keep = h >= -wall
+            h, w = h[keep], w[keep]
+        order = np.argsort(h, kind="stable")
+        heights, starts = np.unique(h[order], return_index=True)
+        ws, ends = w[order], np.append(starts[1:], h.size)
+        levels.append((heights, np.array([ws[i:j].sum()
+                                          for i, j in zip(starts, ends)])))
+    return levels
 
 
 @np.errstate(over="ignore")  # an overflow ends as inf, refused below
-def _meet(kernel: WalkKernel, L: int, wall: int | None,
-          pot: PinningPotential | None) -> float:
-    """sum_h F(h) e^{eps(h)} B(h) over the ceil(L/2) steps from the start
-    (F) and the floor(L/2) steps back from the end (B, offsets negated, so
-    no symmetry of the kernel is assumed); the midpoint is interior, and
-    rewarded, only when L >= 2.  A sum past the float range is refused."""
+def _meet(kernel: WalkKernel, L_max: int, wall: int | None,
+          pot: PinningPotential | None) -> np.ndarray:
+    """Z_L = sum_h F(h) e^{eps(h)} B(h) for every L <= L_max, over the
+    ceil(L/2) steps from the start (F) and the floor(L/2) steps back from
+    the end (B, offsets negated, so no symmetry of the kernel is assumed);
+    the midpoint is interior, and rewarded, only when L >= 2.  Each half is
+    expanded once, to the level of L_max.  A half path of L that ends out of
+    the other half's reach meets nothing, so expanding it changes no sum.
+    A sum past the float range is refused."""
     m = kernel.max_step
-    a, b = (L + 1) // 2, L // 2
-    span = a * m
+    span = (L_max + 1) // 2 * m
     factor = _pot_factor_table(pot, span)
-    # narrowest integer type for the heights (|h + span| <= 2 L m); a step
+    # narrowest integer type for the heights (|h + span| <= 2 L_max m); a step
     # of weight 0 would only add rows of weight 0
     pv = np.array(kernel.probs)
-    offs = np.array(kernel.offsets, dtype=np.min_scalar_type(-2 * L * m))
+    offs = np.array(kernel.offsets, dtype=np.min_scalar_type(-2 * L_max * m))
     offs, pv = offs[pv > 0], pv[pv > 0]
-    hf, F = _half_sums(offs, pv, a, L, m, wall, factor, span)
-    hb, B = _half_sums(-offs, pv, b, L, m, wall, factor, span)
-    mid, i, j = np.intersect1d(hf, hb, assume_unique=True, return_indices=True)
-    z = F[i] * B[j]
-    if b >= 1 and factor is not None:
-        z = z * factor[mid + span]
-    total = float(z.sum())
-    if not math.isfinite(total):
-        raise RefusalError(f"the bridge weight at L={L} is beyond the float "
-                           "range (oracles refuse rather than approximate)")
-    return total
+    fwd = _half_levels(offs, pv, (L_max + 1) // 2, wall, factor, span)
+    bwd = _half_levels(-offs, pv, L_max // 2, wall, factor, span)
+    z = np.zeros(L_max + 1)
+    for L in range(1, L_max + 1):
+        (hf, F), (hb, B) = fwd[(L + 1) // 2], bwd[L // 2]
+        mid, i, j = np.intersect1d(hf, hb, assume_unique=True,
+                                   return_indices=True)
+        terms = F[i] * B[j]
+        if L >= 2 and factor is not None:
+            terms = terms * factor[mid + span]
+        z[L] = terms.sum()
+        if not math.isfinite(z[L]):
+            raise RefusalError(f"the bridge weight at L={L} is beyond the "
+                               "float range (oracles refuse rather than "
+                               "approximate)")
+    return z
 
 
 def oracle_partition(
     kernel: WalkKernel,
-    L: int,
+    L_max: int,
     wall: int | None = None,
     pot: PinningPotential | None = None,
     mode: str = "float",
-) -> float:
-    """Bridge partition function by exhaustive enumeration: two literally
+) -> np.ndarray:
+    """Bridge partition functions Z_1..Z_L_max by exhaustive enumeration:
+    entry L is Z_L (entry 0 is unused, 0.0), read from two literally
     enumerated half-path expansions met at the midpoint.  'float' is the
     only mode."""
-    if L < 1:
+    if L_max < 1:
         raise ParameterError("L must be >= 1")
     if wall is not None and wall < 0:
         raise ParameterError("wall depth must be nonnegative")
-    _check_cap(kernel, L)
+    _check_cap(kernel, L_max)
     if mode != "float":
         raise ParameterError(f"unknown oracle mode {mode!r}")
-    return _meet(kernel, L, wall, pot)
+    return _meet(kernel, L_max, wall, pot)
 
 
 def clt_band(kernel: WalkKernel, L_list: list[int]) -> list[tuple[int, float]]:
-    """(L, sqrt(sigma2 L) * Z_L) rows: small L by enumeration, the rest from
-    one transfer sweep (the two agree on the overlap to 1e-12)."""
+    """(L, sqrt(sigma2 L) * Z_L) rows: small L from one enumeration, the
+    rest from one transfer sweep (the two agree on the overlap to 1e-12)."""
+    if min(L_list, default=1) < 1:
+        raise ParameterError("L must be >= 1")
     cap = max_enumerable_L(kernel)
+    small = [L for L in L_list if L <= cap]
     big = [L for L in L_list if L > cap]
+    z = oracle_partition(kernel, max(small)).tolist() if small else None
     prof = partition_profile(kernel, max(big)) if big else None
     return [(L, math.sqrt(kernel.sigma2 * L)
-             * (oracle_partition(kernel, L) if L <= cap
-                else math.exp(float(prof[L]))))
+             * (z[L] if L <= cap else math.exp(float(prof[L]))))
             for L in sorted(set(L_list))]

@@ -26,7 +26,10 @@ counts, bridge counts without rewards) are symmetric under y -> -y, which
 maps the paths whose first vertical step is N one-to-one onto the S-first
 ones and keeps length, crossings, first edge and y = 0 contacts.  So they
 walk the flat and the N-first paths and count the N-first twice; walls,
-avoided levels, rewards and ``enumerate_saw`` get the full search.
+avoided levels, rewards and ``enumerate_saw`` get the full search.  The
+reward-free unconstrained bridges of span L are exactly the free-end paths
+of span L that end at the goal, so one free-end search (``_span_counts``)
+counts both.
 
 The minimal-horizontal identity needs no search: its paths are one signed
 vertical run per column, so their counts by excess length have a closed
@@ -158,6 +161,7 @@ class _Search:
                 self.mark[i] = marked(u, y)
         self.lines = None if lines is None else np.array(lines, int)
         self.start = (sc - c0) * H + (sy - y0)
+        self.goal = (gc - c0) * H + (gy - y0)
         self.max_len, self.stop, self.mirror = max_len, not free_end, mirror
 
     def __iter__(self):
@@ -331,7 +335,8 @@ def _bridge_sums(L: int, excess_cap: int, constraint: str,
                  avoid_level: int | None, pot: PinningPotential | None,
                  eps_ext: float) -> tuple[float, ...]:
     """Per-length sums of the arrival factors over span-L paths (the
-    arguments of ``saw_partition`` but beta)."""
+    arguments of ``saw_partition`` but beta; ``saw_partition`` reads the
+    reward-free unconstrained sums from ``_span_counts``)."""
     blocked = {
         "none": None,
         "wall": lambda u, y: y < 0,
@@ -349,10 +354,8 @@ def _bridge_sums(L: int, excess_cap: int, constraint: str,
             f *= ext_w
         return f
 
-    mirror = blocked is None and pot is None and not eps_ext
     search = _Search((1, 0), (2 * L - 1, 0), (L - 1) + excess_cap,
-                     factor=None if mirror else arrival_factor,
-                     blocked=blocked, mirror=mirror)
+                     factor=arrival_factor, blocked=blocked)
     return _length_sums(search, L, excess_cap)
 
 
@@ -380,25 +383,36 @@ def saw_partition(
     eps = pot.eps if pot is not None else ()
     eps_max = max(max(eps, default=0.0), eps_ext, 0.0)
     tail = saw_tail_bound((L - 1) + excess_cap + 1, beta, eps_max)
-    sums = _bridge_sums(L, excess_cap, constraint, avoid_level, pot, eps_ext)
+    if constraint == "none" and pot is None and not eps_ext:
+        sums = _span_counts(L, excess_cap)[1]
+    else:
+        sums = _bridge_sums(L, excess_cap, constraint, avoid_level, pot,
+                            eps_ext)
     return TruncatedEnsemble(L=L, beta=beta, excess_cap=excess_cap,
                              partial_sum=_at_beta(sums, L, beta),
                              tail_cert=tail)
 
 
 @functools.lru_cache
-def _free_end_counts(L: int, excess_cap: int) -> tuple[float, ...]:
-    """Per-length counts of the paths of ``grand_canonical``."""
+def _span_counts(L: int, excess_cap: int) -> tuple[tuple[float, ...], ...]:
+    """Per-length counts of the paths of ``grand_canonical`` and of those
+    among them that end at (L - 1/2, 0): the reward-free unconstrained
+    bridges of ``saw_partition``.  One free-end search yields both; its
+    weights are exact integers, so the order they are added in is moot."""
     search = _Search((1, 0), (2 * L - 1, 0), (L - 1) + excess_cap,
                      free_end=True, mirror=True)
-    return _length_sums(search, L, excess_cap)
+    free, bridges = [0.0] * (L + excess_cap), [0.0] * (L + excess_cap)
+    for n, cells, w, _, _ in search:
+        free[n] += w.sum().item()
+        bridges[n] += w[cells[:, n] == search.goal].sum().item()
+    return tuple(free[L - 1:]), tuple(bridges[L - 1:])
 
 
 def grand_canonical(L: int, beta: float, excess_cap: int) -> TruncatedEnsemble:
     """Partition sum over paths from (1/2, 0) ending anywhere in column
     L - 1/2 (free endpoint height)."""
     _check_span(L, beta, excess_cap)
-    total = _at_beta(_free_end_counts(L, excess_cap), L, beta)
+    total = _at_beta(_span_counts(L, excess_cap)[0], L, beta)
     tail = saw_tail_bound((L - 1) + excess_cap + 1, beta)
     return TruncatedEnsemble(L=L, beta=beta, excess_cap=excess_cap,
                              partial_sum=total, tail_cert=tail)

@@ -431,6 +431,40 @@ def test_oracle_check(tmp_path):
     assert all(float(r["max_rel_err"]) <= 1e-12 for r in rows)
 
 
+def test_enumerate_expands_and_searches_each_set_once(tmp_path, monkeypatch):
+    # at their defaults, oracle-check expands each half of its 10 variants
+    # once (to L-max 12: 6 levels each) and saw-verify makes one search per
+    # span for saw_partition and grand_canonical together, plus one for the
+    # regularity counts
+    from wetting_lab import rw_oracle, saw
+
+    levels, searches = [], []
+    half_levels = rw_oracle._half_levels
+
+    def counting(offs, pv, n, *args):
+        levels.append(n)
+        return half_levels(offs, pv, n, *args)
+
+    class Counting(saw._Search):
+        def __init__(self, *args, **kwargs):
+            searches.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(rw_oracle, "_half_levels", counting)
+    monkeypatch.setattr(saw, "_Search", Counting)
+    cached = (saw._bridge_sums, saw._span_counts, saw._regularity_counts)
+    for fn in cached:
+        fn.cache_clear()
+    try:
+        assert main(["oracle-check", "--out-dir", str(tmp_path / "o")]) == 0
+        assert main(["saw-verify", "--out-dir", str(tmp_path / "s")]) == 0
+    finally:
+        for fn in cached:
+            fn.cache_clear()
+    assert levels == [6] * 20
+    assert len(searches) == 3
+
+
 def test_certify_deloc_short_of_base_scale(tmp_path):
     rc = main(["certify-deloc", "--kernel", "binomial:sigma2=0.5",
                "--pot", "single:j=0,eps=0.01", "--L-max", "1",

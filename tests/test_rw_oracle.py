@@ -23,10 +23,12 @@ K5 = make_binomial(0.5)
 
 
 def test_small_bridge_values():
-    assert oracle_partition(K5, 2) == pytest.approx(0.375, rel=1e-15)
-    assert oracle_partition(K5, 2, wall=0) == pytest.approx(0.3125, rel=1e-15)
+    assert oracle_partition(K5, 2)[2] == pytest.approx(0.375, rel=1e-15)
+    assert oracle_partition(K5, 2, wall=0)[2] == \
+        pytest.approx(0.3125, rel=1e-15)
     for k in (K5, make_binomial(0.3)):
-        assert oracle_partition(k, 1) == pytest.approx(k.prob(0), rel=1e-15)
+        assert oracle_partition(k, 1)[1] == pytest.approx(k.prob(0),
+                                                          rel=1e-15)
 
 
 def test_exact_fractions():
@@ -64,7 +66,7 @@ def test_refusal_beyond_the_float_range():
     # oracle refuses instead of returning inf
     pot = parse_potential_spec("single:j=4,eps=150")
     k = make_binomial(0.25)
-    assert math.isfinite(oracle_partition(k, 8, wall=0, pot=pot))
+    assert np.isfinite(oracle_partition(k, 8, wall=0, pot=pot)).all()
     with pytest.raises(RefusalError, match="float range"):
         oracle_partition(k, 14, wall=0, pot=pot)
 
@@ -140,11 +142,12 @@ def _cases(gap_kernel):
 
 def test_oracle_is_the_exact_height_dp(gap_kernel):
     for name, kernel, wall, pot in _cases(gap_kernel):
-        for L in range(1, max_enumerable_L(kernel) + 1):
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                z = oracle_partition(kernel, L, wall=wall, pot=pot,
-                                     mode="float")
-            assert _rel(z, _exact_z(kernel, L, wall, pot)) <= 1e-14, (name, L)
+        cap = max_enumerable_L(kernel)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            z = oracle_partition(kernel, cap, wall=wall, pot=pot, mode="float")
+        for L in range(1, cap + 1):
+            assert _rel(z[L], _exact_z(kernel, L, wall, pot)) <= 1e-14, \
+                (name, L)
 
 
 def test_two_leg_profile_is_the_exact_height_dp(gap_kernel):
@@ -165,15 +168,15 @@ def test_zero_weight_steps_are_not_expanded(gap_kernel, monkeypatch):
     # offsets +-3 carry weight 0: the forward half of L = 7 expands only
     # the steps -2, 0, 2 and so ends on the 9 even heights -8..8
     rows = []
-    half_sums = rw_oracle._half_sums
+    half_levels = rw_oracle._half_levels
 
     def recording(offs, pv, *args):
         rows.append((sorted(offs.tolist()), bool((pv > 0).all())))
-        heights, sums = half_sums(offs, pv, *args)
-        rows.append(heights.tolist())
-        return heights, sums
+        levels = half_levels(offs, pv, *args)
+        rows.append(levels[-1][0].tolist())
+        return levels
 
-    monkeypatch.setattr(rw_oracle, "_half_sums", recording)
+    monkeypatch.setattr(rw_oracle, "_half_levels", recording)
     oracle_partition(gap_kernel, 7)
     assert rows[0] == ([-2, 0, 2], True)
     assert rows[1] == list(range(-8, 9, 2))
@@ -185,16 +188,18 @@ def test_fraction_and_float_modes_agree():
     # the float oracle against the exact rational height DP, which replaced
     # the oracle's own fraction mode
     pot = make_family("list", values=[0.15, 0.0, 0.3])
-    for L in range(1, max_enumerable_L(K5) + 1):
-        z = oracle_partition(K5, L, wall=0, pot=pot, mode="float")
-        assert _rel(z, _exact_z(K5, L, 0, pot)) <= 1e-14, L
+    cap = max_enumerable_L(K5)
+    z = oracle_partition(K5, cap, wall=0, pot=pot, mode="float")
+    for L in range(1, cap + 1):
+        assert _rel(z[L], _exact_z(K5, L, 0, pot)) <= 1e-14, L
 
 
 def test_errors_fire_with_a_warm_memo():
     # the oracle keeps no memo to warm: errors fire after calls at the cap
     # just as on a first call, and change no later value
     cap = max_enumerable_L(K5)
-    warm = [oracle_partition(K5, cap, wall=w, mode="float") for w in (None, 0)]
+    warm = [oracle_partition(K5, cap, wall=w, mode="float").tolist()
+            for w in (None, 0)]
     with pytest.raises(ParameterError):
         oracle_partition(K5, 0, mode="float")
     with pytest.raises(ParameterError):
@@ -204,7 +209,7 @@ def test_errors_fire_with_a_warm_memo():
     for mode in ("auto", "fraction"):
         with pytest.raises(ParameterError):
             oracle_partition(K5, 3, mode=mode)
-    assert [oracle_partition(K5, cap, wall=w, mode="float")
+    assert [oracle_partition(K5, cap, wall=w, mode="float").tolist()
             for w in (None, 0)] == warm
 
 
@@ -219,12 +224,15 @@ def test_memo_holds_values_only_and_stays_bounded():
     # float within 1e-14 of the exact DP
     before = _module_containers()
     calls = [(L, wall) for wall in range(20) for L in (3, 14, 8)]
-    first = [oracle_partition(K5, L, wall=w, mode="float") for L, w in calls]
-    again = [oracle_partition(K5, L, wall=w, mode="float")
+    profiles = [oracle_partition(K5, L, wall=w, mode="float")
+                for L, w in calls]
+    again = [oracle_partition(K5, L, wall=w, mode="float")[L]
              for L, w in reversed(calls)]
     assert _module_containers() == before
+    first = [z[L] for (L, _), z in zip(calls, profiles)]
     assert again[::-1] == first
-    assert all(type(z) is float for z in first)
+    assert all(z.dtype == np.float64 and z.shape == (L + 1,)
+               for (L, _), z in zip(calls, profiles))
     for (L, wall), z in zip(calls, first):
         assert _rel(z, _exact_z(K5, L, wall, None)) <= 1e-14
 

@@ -22,9 +22,9 @@ from wetting_lab.saw import (
     _at_beta,
     _bridge_sums,
     _excess_count,
-    _free_end_counts,
     _regularity_counts,
     _runs_tail_bound,
+    _span_counts,
 )
 
 
@@ -466,7 +466,7 @@ def test_permutation_sum_bound_and_refusal():
 
 
 def test_sum_paths_matches_enumerate_stream():
-    got = _at_beta(_bridge_sums(3, 3, "none", None, None, 0.0), 3, 3.1)
+    got = _at_beta(_span_counts(3, 3)[1], 3, 3.1)
     want = sum(math.exp(-3.1 * _length(p))
                for p in enumerate_saw((0.5, 0), (2.5, 0), 3))
     assert got == pytest.approx(want, rel=1e-13)
@@ -493,8 +493,7 @@ def test_bridge_sums_are_counts_by_length(L, cap):
         return _by_length((p for p in enumerate_saw((0.5, 0), (L - 0.5, 0), cap)
                            if keep(p)), L, cap)
 
-    assert _exact(_bridge_sums(L, cap, "none", None, None, 0.0)) == \
-        bridges(lambda p: True)
+    assert _exact(_span_counts(L, cap)[1]) == bridges(lambda p: True)
     assert _exact(_bridge_sums(L, cap, "wall", None, None, 0.0)) == \
         bridges(lambda p: all(y >= 0 for _, y in p.vertices))
     for level in (1, -1):
@@ -508,7 +507,7 @@ def test_free_end_counts_by_length(L, cap):
     for y in range(-cap, cap + 1):
         for p in enumerate_saw((0.5, 0), (L - 0.5, y), cap - abs(y)):
             want[_length(p) - (L - 1)] += 1
-    assert _exact(_free_end_counts(L, cap)) == want
+    assert _exact(_span_counts(L, cap)[0]) == want
 
 
 @pytest.mark.parametrize("L,cap", [(2, 6), (3, 4), (5, 4)])
@@ -541,9 +540,9 @@ def test_regularity_counts_by_length(L, cap):
 ])
 def test_factor_free_values_match_decimal(ensemble, L, cap, beta):
     if ensemble is grand_canonical:
-        counts = _free_end_counts(L, cap)
+        counts = _span_counts(L, cap)[0]
     elif ensemble is saw_partition:
-        counts = _bridge_sums(L, cap, "none", None, None, 0.0)
+        counts = _span_counts(L, cap)[1]
     else:
         counts = _regularity_counts(L, cap, (0, L // 2, L))[0]
     with localcontext() as ctx:
@@ -668,12 +667,21 @@ def _reference_length_sums(search, L, excess_cap):
 
 
 def _reference_search(monkeypatch, fn, *args):
-    """What ``_free_end_counts`` or ``_bridge_sums`` returned on the
-    reference DFS, summed as they summed it."""
+    """What ``_bridge_sums`` returned on the reference DFS, summed as it
+    summed it."""
     with monkeypatch.context() as m:
         m.setattr(saw, "_Search", _ReferenceDFS)
         m.setattr(saw, "_length_sums", _reference_length_sums)
         return fn.__wrapped__(*args)
+
+
+def _reference_span_counts(L, excess_cap):
+    """``_span_counts`` as the reference DFS gave it, each path set from a
+    search of its own: the free-end counts, then the bridge counts."""
+    args = (1, 0), (2 * L - 1, 0), (L - 1) + excess_cap
+    return tuple(_reference_length_sums(
+        _ReferenceDFS(*args, free_end=free_end, mirror=True), L, excess_cap)
+        for free_end in (True, False))
 
 
 def _reference_regularity_counts(L, excess_cap, u_list):
@@ -715,14 +723,15 @@ def _reference_lines(x, y, cap):
 # every (L, cap) with L in 2..7 and (L - 1) + cap <= 13
 GRID = [(L, cap) for L in range(2, 8) for cap in range(0, 13 - (L - 1) + 1)]
 _POT = make_family("list", values=[0.2, 0.1])
-BRIDGES = [("none", None, None, 0.0), ("wall", None, None, 0.0),
+# the reward-free unconstrained bridges are read from ``_span_counts``
+BRIDGES = [("wall", None, None, 0.0),
            ("avoid", 1, None, 0.0), ("avoid", -1, None, 0.0),
            ("none", None, _POT, 0.0), ("none", None, None, 0.3)]
 
 
 def _engine_values(L, cap):
     us = tuple(range(L + 1))
-    return ([_free_end_counts.__wrapped__(L, cap),
+    return ([_span_counts.__wrapped__(L, cap),
              _regularity_counts.__wrapped__(L, cap, us)]
             + [_bridge_sums.__wrapped__(L, cap, *b) for b in BRIDGES])
 
@@ -735,7 +744,7 @@ def reference_values():
         for L, cap in GRID:
             us = tuple(range(L + 1))
             values[L, cap] = (
-                [_reference_search(m, _free_end_counts, L, cap),
+                [_reference_span_counts(L, cap),
                  _reference_regularity_counts(L, cap, us)]
                 + [_reference_search(m, _bridge_sums, L, cap, *b)
                    for b in BRIDGES],
@@ -743,23 +752,42 @@ def reference_values():
     return values
 
 
+def _recording_searches(monkeypatch, base=saw._Search):
+    """Patch ``saw._Search`` with ``base`` made to record the arguments of
+    every search it starts; returns the record."""
+    made = []
+
+    class Recording(base):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(saw, "_Search", Recording)
+    return made
+
+
 @pytest.mark.parametrize("chunk, top", [(None, 13), (3, 10)])
 def test_engine_matches_the_reference_search(monkeypatch, reference_values,
                                              chunk, top):
-    # free-end counts, all four regularity tuples, the bridge sums of every
-    # constraint, reward and external reward, and the dump lines: equal,
-    # float sums to the last bit.  Blocks of 3 paths split at every level;
-    # they cost a numpy pass per 3 paths, so they run up to length 10
+    # free-end and reward-free bridge counts, all four regularity tuples,
+    # the bridge sums of every other constraint, reward and external
+    # reward, and the dump lines: equal, float sums to the last bit, each
+    # from a fresh search (none read from a cache).  Blocks of 3 paths split
+    # at every level; they cost a numpy pass per 3 paths, so they run up to
+    # length 10
     if chunk is not None:
         monkeypatch.setattr(saw, "_CHUNK", chunk)
+    made = _recording_searches(monkeypatch)
     for (L, cap), (want, lines) in reference_values.items():
         if (L - 1) + cap > top:
             continue
+        before = len(made)
         got = _engine_values(L, cap)
         assert got == want, (L, cap)
         assert repr(got) == repr(want), (L, cap)
         assert [p.to_line() for p in enumerate_saw((0.5, 0), (L - 0.5, 0),
                                                    cap)] == lines, (L, cap)
+        assert len(made) - before == 3 + len(BRIDGES)
 
 
 @pytest.mark.parametrize("chunk", [3, 17, 1024])
@@ -778,17 +806,10 @@ def test_each_length_arrives_in_depth_first_order(monkeypatch, L, cap, chunk):
 
 
 def test_one_search_per_path_set_across_betas(monkeypatch):
-    searches = []
-
-    class Counting(saw._Search):
-        def __init__(self, *args, **kwargs):
-            searches.append(args)
-            super().__init__(*args, **kwargs)
-
-    cached = (_bridge_sums, _free_end_counts, _regularity_counts)
+    cached = (_bridge_sums, _span_counts, _regularity_counts)
     for fn in cached:
         fn.cache_clear()
-    monkeypatch.setattr(saw, "_Search", Counting)
+    searches = _recording_searches(monkeypatch)
     pot = make_family("list", values=[0.2, 0.1])
     try:
         for beta in (2.5, 3.0):
@@ -797,7 +818,7 @@ def test_one_search_per_path_set_across_betas(monkeypatch):
             grand_canonical(4, beta, 4)
             st_ = regularity_stats(4, beta, 4)
             assert st_.partial_sum == saw_partition(4, beta, 4).partial_sum
-        assert len(searches) == 4
+        assert len(searches) == 3
     finally:
         for fn in cached:
             fn.cache_clear()
@@ -814,9 +835,12 @@ class _FullSearch(saw._Search):
 
 
 def _full(monkeypatch, fn, *args):
+    """fn's value from a fresh search with the reflection switched off."""
     with monkeypatch.context() as m:
-        m.setattr(saw, "_Search", _FullSearch)
-        return fn.__wrapped__(*args)
+        made = _recording_searches(m, _FullSearch)
+        value = fn.__wrapped__(*args)
+    assert len(made) == 1  # not read from a cache
+    return value
 
 
 @pytest.mark.parametrize("L", range(2, 8))
@@ -824,11 +848,11 @@ def test_halved_search_counts_equal_the_full_search(monkeypatch, L):
     # every cap with (L - 1) + cap <= 13; cap = 0 leaves only the flat path
     us = tuple(range(L + 1))
     for cap in range(0, 13 - (L - 1) + 1):
-        for fn, args in ((_free_end_counts, (L, cap)),
-                         (_bridge_sums, (L, cap, "none", None, None, 0.0))):
-            half, full = fn.__wrapped__(*args), _full(monkeypatch, fn, *args)
-            assert half == full, (fn.__name__, cap)
-            assert _exact(half) == _exact(full)
+        half = _span_counts.__wrapped__(L, cap)
+        full = _full(monkeypatch, _span_counts, L, cap)
+        for got, want in zip(half, full, strict=True):  # free end, bridges
+            assert got == want, cap
+            assert _exact(got) == _exact(want)
         half = _regularity_counts.__wrapped__(L, cap, us)
         full = _full(monkeypatch, _regularity_counts, L, cap, us)
         for got, want in zip(half, full, strict=True):  # totals, lines, fv, ext
@@ -857,6 +881,6 @@ def test_halved_free_end_search_walks_half(monkeypatch, L, cap):
                 yield batch
 
     monkeypatch.setattr(saw, "_Search", Counting)
-    _free_end_counts.__wrapped__(L, cap)
+    _span_counts.__wrapped__(L, cap)
     assert flat == 1
     assert 2 * len(arrived) == full + flat
