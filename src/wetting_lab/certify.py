@@ -178,18 +178,21 @@ def delocalization_certificate(
     inequality must pass for the verdict ``delocalized_empirical`` (valid up
     to L_max); any failure, an infeasible delta window, or decoupling
     weights above 1 yield ``undetermined`` with the failing scale recorded.
+    A reward above log 2 gives ``undetermined`` before a default ``b`` is
+    checked, so rho overflowing there is no error (``b`` is then None).
     """
     sigma2 = kernel.sigma2
-    if b is None:
+    if b is not None:
+        positive_finite(b, "b")
+    else:
         b = max(rho(pot, sigma2).upper, 1e-9)
-    positive_finite(b, "b")
     if delta is not None:
         positive_finite(delta, "delta")
     params = {
         "kernel": kernel.spec_string(),
         "pot": pot.spec_string(),
         "sigma2": sigma2,
-        "b": b,
+        "b": b if math.isfinite(b) else None,
         "C": SCALE_CONSTANT,
         "L_max": L_max,
     }
@@ -203,6 +206,7 @@ def delocalization_certificate(
     if pot.exceeds_log2:
         return cert(UNDETERMINED, "rewards above log 2 cannot be delocalized; "
                     "run the spectral engine instead")
+    positive_finite(b, "b")  # the default of a non-summable tail is inf
     levels = pot.support
     if levels and L_max < base_scale(levels[0], sigma2):
         return cert(UNDETERMINED, f"L_max={L_max} ends before the base scale "

@@ -27,7 +27,7 @@ from . import __version__
 from .errors import ParameterError, RefusalError, TruncationError, spec_number
 from .kernels import parse_kernel_spec
 from .potentials import parse_potential_spec, rho
-from .transfer import free_energy, partition_profile
+from .transfer import clt_band, free_energy, partition_profile
 
 
 def _write_json(out_dir: str, name: str, obj) -> None:
@@ -155,8 +155,6 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_verify_clt(args) -> int:
-    from .rw_oracle import clt_band
-
     if args.L_max < max(1, args.L_min):
         raise ParameterError("--L-max must be at least 1 and at least --L-min")
     kernel = parse_kernel_spec(args.kernel)

@@ -14,7 +14,9 @@ one, the midpoint reward applied once.  About 2 * 3^{L_max/2} rows instead
 of 3^L per length; against an exact rational height DP the values agree to
 ~1e-15 relative.  Nothing is kept between calls.
 
-The oracle refuses above its cost cap rather than approximate.
+The oracle refuses above its cost cap rather than approximate.  It shares
+no code with the transfer module and is no production engine: only
+``oracle-check`` and the tests call it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 from .errors import ParameterError, RefusalError
 from .kernels import WalkKernel
 from .potentials import PinningPotential
-from .transfer import partition_profile
 
 _BASE_CAP_STEPS = 14  # for a 3-point stencil
 
@@ -149,18 +150,3 @@ def oracle_partition(
     if mode != "float":
         raise ParameterError(f"unknown oracle mode {mode!r}")
     return _meet(kernel, L_max, wall, pot)
-
-
-def clt_band(kernel: WalkKernel, L_list: list[int]) -> list[tuple[int, float]]:
-    """(L, sqrt(sigma2 L) * Z_L) rows: small L from one enumeration, the
-    rest from one transfer sweep (the two agree on the overlap to 1e-12)."""
-    if min(L_list, default=1) < 1:
-        raise ParameterError("L must be >= 1")
-    cap = max_enumerable_L(kernel)
-    small = [L for L in L_list if L <= cap]
-    big = [L for L in L_list if L > cap]
-    z = oracle_partition(kernel, max(small)).tolist() if small else None
-    prof = partition_profile(kernel, max(big)) if big else None
-    return [(L, math.sqrt(kernel.sigma2 * L)
-             * (z[L] if L <= cap else math.exp(float(prof[L]))))
-            for L in sorted(set(L_list))]

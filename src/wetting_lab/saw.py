@@ -68,7 +68,7 @@ import numpy as np
 from .errors import ParameterError, RefusalError
 from .kernels import make_sos, sos_normalizer
 from .potentials import PinningPotential
-from .transfer import log_partition
+from .transfer import partition_profile
 
 BETA_MARGIN = 0.5
 BETA_MIN = math.log(3.0) + BETA_MARGIN
@@ -601,7 +601,7 @@ def minimal_horizontal_identity(L: int, beta: float,
     lhs = TruncatedEnsemble(L=L, beta=beta, excess_cap=cap,
                             partial_sum=part, tail_cert=tail)
     kernel = make_sos(beta, tail_tol=1e-15)
-    log_z = log_partition(kernel, L)
+    log_z = partition_profile(kernel, L)[L]
     rhs = math.exp(-beta * (L - 1) + L * math.log(sos_normalizer(beta)) + log_z)
     rhs_err = rhs * (2.0 * L * kernel.truncation_defect + 1e-13)
     return IdentityReport(L=L, beta=beta, lhs=lhs, rhs=rhs, rhs_err=rhs_err,

@@ -18,6 +18,8 @@ time t into legs of t and t or t-1 steps from height 0: one sweep of
 ceil(L/2) steps (each one ``np.correlate`` of the scaled state vector with
 the reversed stencil, one max and one division) gives the log Z and
 midpoint profiles up to L; ``certify`` caches the amplitude-free ones.
+Callers read every length they need from one profile, the normalised CLT
+rows of ``clt_band`` included.
 
 Window truncation is monitored, not assumed: the sweep grows its window in
 place from the mass its edge rows carry, and stops at an exact fixed point,
@@ -193,7 +195,11 @@ def partition_profile(
     """log Z for every length 1..L_max in one pass (entry 0 is unused -inf):
     Z_2t = sum_h F_t(h)^2 e^eps(h) and Z_2t-1 = sum_h F_t(h) e^eps(h)
     F_t-1(h), read from vectors of max 1, so no entry far below the peak
-    decides a value.  Past a fixed point each length adds log m."""
+    decides a value.  Past a fixed point at step k each length from 2k on
+    adds log m: within rounding of what a continued sweep reads, not bit
+    for bit.  On the localized cases of the fixed-point test (L = 8,192)
+    the two differ by up to 3.3e-10 in log Z (1.6e-13 relative), and the
+    tail is the closer to a step-by-step sweep (7.1e-12 against 3.3e-10)."""
     if L_max < 1:
         raise ParameterError("L_max must be at least 1")
     if wall is not None and wall < 0:
@@ -226,16 +232,6 @@ def partition_profile(
         logz[2 * fixed[0] + 1:] = math.log(fixed[1])
         np.add.accumulate(logz[2 * fixed[0]:], out=logz[2 * fixed[0]:])
     return logz[:L_max + 1]
-
-
-def log_partition(
-    kernel: WalkKernel,
-    L: int,
-    wall: int | None = None,
-    pot: PinningPotential | None = None,
-) -> float:
-    """log of the bridge partition function with optional wall and potential."""
-    return float(partition_profile(kernel, L, wall=wall, pot=pot)[L])
 
 
 def midpoint_prob(kernel: WalkKernel, L: int, j: int) -> np.ndarray:
@@ -278,6 +274,16 @@ def midpoint_prob(kernel: WalkKernel, L: int, j: int) -> np.ndarray:
     if fixed:  # every later pair of legs is the pair at the fixed point
         prof[2 * fixed[0] + 1:] = prof[2 * fixed[0]]
     return prof[:L + 1]
+
+
+def clt_band(kernel: WalkKernel, L_list: list[int]) -> list[tuple[int, float]]:
+    """(L, sqrt(sigma2 L) * Z_L) rows for the distinct L in increasing
+    order, all read from one free sweep to the largest."""
+    if min(L_list, default=1) < 1:
+        raise ParameterError("L must be >= 1")
+    Ls = sorted(set(L_list))
+    prof = partition_profile(kernel, max(Ls, default=1))
+    return [(L, math.sqrt(kernel.sigma2 * L) * math.exp(prof[L])) for L in Ls]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from wetting_lab.certify import (
     scalar_step_bound,
     wetting_threshold,
 )
-from wetting_lab.transfer import log_partition, midpoint_prob, partition_profile
+from wetting_lab.transfer import midpoint_prob, partition_profile
 
 K5 = make_binomial(0.5)
 K1 = make_binomial(0.1)
@@ -48,9 +48,9 @@ def test_base_case_moderate_b():
     eps = 0.1 * 0.5
     want = (0.25 * math.exp(eps) + 0.0625) / 0.375
     got = math.exp(
-        log_partition(K5, 2, wall=0,
-                      pot=make_family("single", j=0, amplitude=eps))
-        - log_partition(K5, 2))
+        partition_profile(K5, 2, wall=0,
+                          pot=make_family("single", j=0, amplitude=eps))[2]
+        - partition_profile(K5, 2)[2])
     assert got == pytest.approx(want, rel=1e-13)
     assert want == pytest.approx(0.8675, abs=2e-4)
 

@@ -75,6 +75,19 @@ def test_certify_deloc_infinite_tail(tmp_path, capsys):
     assert "unbounded" in cert["notes"][0]
 
 
+def test_certify_deloc_log2_exit_comes_before_the_default_b(tmp_path):
+    # rho, and with it the default b, overflows to inf at eps = 1e308; the
+    # reward is above log 2, so that exit answers without reading b
+    assert main(["certify-deloc", "--kernel", "binomial:sigma2=0.5",
+                 "--pot", "single:j=0,eps=1e308",
+                 "--out-dir", str(tmp_path)]) == 0
+    cert = _strict_json(tmp_path / "certificate.json")
+    assert cert["verdict"] == "undetermined"
+    assert cert["evidence"] == []
+    assert cert["notes"][0].startswith("rewards above log 2")
+    assert cert["params"]["b"] is None
+
+
 @pytest.mark.parametrize("extra", [
     ["--b", "1000"], ["--b", "1000", "--delta", "0.1"], ["--delta", "1e200"],
 ])

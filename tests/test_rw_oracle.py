@@ -16,8 +16,8 @@ from wetting_lab.kernels import (
     parse_kernel_spec,
 )
 from wetting_lab.potentials import make_family, parse_potential_spec
-from wetting_lab.rw_oracle import clt_band, max_enumerable_L, oracle_partition
-from wetting_lab.transfer import log_partition, partition_profile
+from wetting_lab.rw_oracle import max_enumerable_L, oracle_partition
+from wetting_lab.transfer import clt_band, partition_profile
 
 K5 = make_binomial(0.5)
 
@@ -245,6 +245,18 @@ def test_clt_band_rows_are_exact():
         assert v == pytest.approx(ref, rel=1e-14)
 
 
+def test_clt_band_runs_no_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("clt_band ran the oracle")
+
+    monkeypatch.setattr(rw_oracle, "oracle_partition", refuse)
+    monkeypatch.setattr(rw_oracle, "_meet", refuse)
+    Ls = [1, 2, 4, 8, 14, 64, 1024]
+    prof = partition_profile(K5, 1024)
+    assert clt_band(K5, Ls) == [
+        (L, math.sqrt(K5.sigma2 * L) * math.exp(prof[L])) for L in Ls]
+
+
 def test_oracle_check_csv_matches_the_exact_dp(tmp_path):
     assert main(["oracle-check", "--L-max", "14",
                  "--out-dir", str(tmp_path)]) == 0
@@ -259,8 +271,8 @@ def test_oracle_check_csv_matches_the_exact_dp(tmp_path):
             (s2, variant, L_top)
         # the transfer's error against the exact value; the oracle's own
         # error (<= 1e-14) is all that separates it from the csv's column
-        ref = max(_rel(math.exp(log_partition(kernel, L, wall=wall, pot=pot)),
-                       _exact_z(kernel, L, wall, pot))
+        prof = partition_profile(kernel, L_top, wall=wall, pot=pot)
+        ref = max(_rel(math.exp(prof[L]), _exact_z(kernel, L, wall, pot))
                   for L in range(1, L_top + 1))
         assert abs(float(row["max_rel_err"]) - float(ref)) <= 1e-14
         assert float(row["max_rel_err"]) <= 1e-12

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from wetting_lab.certify import SCALE_CONSTANT
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -28,6 +30,17 @@ def _run(tmp_path, script, *argv):
 def test_script_runs(tmp_path, script, argv):
     proc = _run(tmp_path, script, *argv)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_calibration_pins_the_shipped_constant(tmp_path):
+    # sigma2 = 0.05, j = 8 is the cell that binds C on the default grid:
+    # C = 7.5 fails there first, at L = 12,150 with p = 0.7543
+    proc = _run(tmp_path, "calibrate_midpoint_constant.py",
+                "--sigma2", "0.05", "--j", "8", "--c-max", "8")
+    assert proc.returncode == 0, proc.stderr
+    assert "C=  7.5: fails at (0.05, 8, 12150," in proc.stdout
+    assert f"smallest working C on this grid: {SCALE_CONSTANT}\n" in \
+        proc.stdout
 
 
 def test_phase_scan_csv_keeps_its_columns_when_an_error_has_commas(tmp_path):

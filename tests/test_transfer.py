@@ -15,7 +15,6 @@ from wetting_lab.transfer import (
     _sweep,
     _Window,
     free_energy,
-    log_partition,
     midpoint_prob,
     partition_profile,
 )
@@ -24,19 +23,19 @@ K5 = make_binomial(0.5)
 
 
 def test_two_step_bridge_values():
-    assert math.exp(log_partition(K5, 2)) == pytest.approx(0.375, rel=1e-14)
-    assert math.exp(log_partition(K5, 2, wall=0)) == pytest.approx(0.3125, rel=1e-14)
+    assert math.exp(partition_profile(K5, 2)[2]) == pytest.approx(0.375, rel=1e-14)
+    assert math.exp(partition_profile(K5, 2, wall=0)[2]) == pytest.approx(0.3125, rel=1e-14)
 
 
 def test_one_step_bridge_is_p0():
     for k in (K5, make_binomial(0.1), make_sos(3.0)):
-        assert math.exp(log_partition(k, 1)) == pytest.approx(k.prob(0), rel=1e-13)
+        assert math.exp(partition_profile(k, 1)[1]) == pytest.approx(k.prob(0), rel=1e-13)
 
 
 def test_wall_only_costs_mass():
     for L in (2, 5, 8):
-        zj = [log_partition(K5, L, wall=j) for j in (0, 1, 2)]
-        zfree = log_partition(K5, L)
+        zj = [partition_profile(K5, L, wall=j)[L] for j in (0, 1, 2)]
+        zfree = partition_profile(K5, L)[L]
         assert zj[0] <= zj[1] <= zj[2] <= zfree + 1e-14
 
 
@@ -44,8 +43,8 @@ def _contact_moment(L, eps, wall=None):
     """E[e^{eps N}] for the bridge, N = interior contacts with height 0, as
     a ratio of two partition functions."""
     pot = make_family("single", j=0, amplitude=eps)
-    return math.exp(log_partition(K5, L, wall=wall, pot=pot)
-                    - log_partition(K5, L, wall=wall))
+    return math.exp(partition_profile(K5, L, wall=wall, pot=pot)[L]
+                    - partition_profile(K5, L, wall=wall)[L])
 
 
 def test_pinned_expectation_formula_and_monotone():
@@ -59,11 +58,12 @@ def test_pinned_expectation_formula_and_monotone():
 
 def test_partition_monotone_in_each_level():
     base = make_family("list", values=[0.1, 0.05, 0.02])
-    z0 = log_partition(K5, 8, wall=0, pot=base)
+    z0 = partition_profile(K5, 8, wall=0, pot=base)[8]
     for lvl in range(3):
         values = list(base.eps)
         values[lvl] += 0.05
-        z1 = log_partition(K5, 8, wall=0, pot=make_family("list", values=values))
+        z1 = partition_profile(
+            K5, 8, wall=0, pot=make_family("list", values=values))[8]
         assert z1 > z0
 
 
@@ -312,7 +312,7 @@ def test_full_matrix_symmetry():
         W = P
         for L in range(1, 9):
             np.testing.assert_allclose(W, W.T, rtol=1e-12, atol=1e-300)
-            z = math.exp(log_partition(K5, L, wall=wall, pot=pot))
+            z = math.exp(partition_profile(K5, L, wall=wall, pot=pot)[L])
             assert z == pytest.approx(W[wall, wall], rel=1e-13), (wall, L)
             W = W @ DP
 
@@ -432,7 +432,7 @@ def test_log_partition_convex_in_amplitude():
     base = make_family("list", values=[0.2, 0.1, 0.05])
     L = 48
     ts = np.linspace(0.0, 1.5, 7)
-    g = [log_partition(K5, L, wall=0, pot=base.scaled(t)) / L for t in ts]
+    g = [partition_profile(K5, L, wall=0, pot=base.scaled(t))[L] / L for t in ts]
     second = np.diff(g, 2)
     assert np.all(second >= -1e-9)
 
@@ -449,7 +449,7 @@ def test_matches_oracle_randomized():
             pot = make_family(
                 "list", values=rng.uniform(0.0, 0.5,
                                            size=rng.integers(1, 4)).tolist())
-        z_t = math.exp(log_partition(k, L, wall=wall, pot=pot))
+        z_t = math.exp(partition_profile(k, L, wall=wall, pot=pot)[L])
         z_o = oracle_partition(k, L, wall=wall, pot=pot, mode="float")[L]
         assert z_t == pytest.approx(z_o, rel=1e-12)
 
@@ -458,7 +458,7 @@ def test_matches_oracle_sos_kernel():
     k = make_sos(3.0, tail_tol=1e-6)
     z_o = oracle_partition(k, 5, mode="float")
     for L in range(1, 6):
-        z_t = math.exp(log_partition(k, L))
+        z_t = math.exp(partition_profile(k, L)[L])
         assert z_t == pytest.approx(z_o[L], rel=1e-12)
 
 
@@ -476,10 +476,10 @@ def test_window_covers_high_rewarded_level():
     # felt; sticking at level 60 already beats the free bridge by far
     pot = make_family("single", j=60, amplitude=1.2)
     L = 512
-    z_pot = log_partition(K5, L, wall=0, pot=pot)
+    z_pot = partition_profile(K5, L, wall=0, pot=pot)[L]
     stick = 120 * math.log(0.25) + (L - 121) * (math.log(0.5) + 1.2)
     assert z_pot >= stick - 1e-6
-    assert z_pot > log_partition(K5, L, wall=0) + 100
+    assert z_pot > partition_profile(K5, L, wall=0)[L] + 100
 
 
 def test_sos_kernel_end_to_end():
