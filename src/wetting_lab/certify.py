@@ -228,6 +228,14 @@ def delocalization_certificate(
         return cert(UNDETERMINED, "decoupling weights exceed 1 at this b; "
                     "the level split does not apply")
 
+    # a wall deeper than (L_max // 2) max_step is out of every bridge's
+    # reach, so such levels differ only in kappa_j = b sigma^2/(j+1), which
+    # falls with j, and have L_1 >= L_max (no doubling step): the shallowest
+    # one bounds the base ratios of the rest and leaves the same delta window
+    reach = (L_max // 2) * kernel.max_step
+    deep = [j for j in levels if j > reach]
+    levels = [j for j in levels if j <= reach] + deep[:1]
+
     # the base ratios do not depend on delta: measure them first, then pick
     # delta strictly inside the window they leave with the scalar step
     base = {j: base_case_check(kernel, j, b, L_max) for j in levels}
@@ -248,6 +256,9 @@ def delocalization_certificate(
         detail = f"worst L={res.worst_L}"
         if res.covered_to < res.L1:
             detail += f"; base window truncated at {res.covered_to} of {res.L1}"
+        if len(deep) > 1 and j == deep[0]:
+            detail += (f"; covers levels {deep[0]}..{deep[-1]} ({len(deep)} "
+                       f"levels), whose walls no bridge up to L_max reaches")
         evidence.append(Evidence(
             scale=res.covered_to, check=f"base_ratio[j={j}]",
             measured=res.max_ratio, threshold=1.0 + delta, passed=ok,

@@ -179,8 +179,16 @@ class LevelPin:
 
 @dataclass(frozen=True)
 class Decoupling:
-    levels: tuple[LevelPin, ...]
+    pot: PinningPotential
+    b: float
+    sigma2: float
     rho_sum: float  # callers must check <= 1 before using the decomposition
+
+    @functools.cached_property  # built on first read: certify reads rho_sum
+    def levels(self) -> tuple[LevelPin, ...]:
+        bs = self.b * self.sigma2
+        return tuple(LevelPin(j=j, rho_j=(j + 1) * e / bs, kappa_j=bs / (j + 1))
+                     for j, e in enumerate(self.pot.eps))
 
 
 def decouple(pot: PinningPotential, b: float, sigma2: float) -> Decoupling:
@@ -193,11 +201,9 @@ def decouple(pot: PinningPotential, b: float, sigma2: float) -> Decoupling:
         raise ParameterError("decoupling constant b must be positive")
     if sigma2 <= 0:
         raise ParameterError("sigma2 must be positive")
-    levels = tuple(
-        LevelPin(j=j, rho_j=(j + 1) * e / (b * sigma2), kappa_j=b * sigma2 / (j + 1))
-        for j, e in enumerate(pot.eps)
-    )
-    return Decoupling(levels=levels, rho_sum=sum(lp.rho_j for lp in levels))
+    bs = b * sigma2
+    return Decoupling(pot=pot, b=b, sigma2=sigma2,
+                      rho_sum=sum((j + 1) * e / bs for j, e in enumerate(pot.eps)))
 
 
 def parse_potential_spec(spec: str, amplitude: float | None = None) -> PinningPotential:

@@ -136,17 +136,13 @@ def oracle_partition(
     L_max: int,
     wall: int | None = None,
     pot: PinningPotential | None = None,
-    mode: str = "float",
 ) -> np.ndarray:
     """Bridge partition functions Z_1..Z_L_max by exhaustive enumeration:
     entry L is Z_L (entry 0 is unused, 0.0), read from two literally
-    enumerated half-path expansions met at the midpoint.  'float' is the
-    only mode."""
+    enumerated half-path expansions met at the midpoint."""
     if L_max < 1:
         raise ParameterError("L must be >= 1")
     if wall is not None and wall < 0:
         raise ParameterError("wall depth must be nonnegative")
     _check_cap(kernel, L_max)
-    if mode != "float":
-        raise ParameterError(f"unknown oracle mode {mode!r}")
     return _meet(kernel, L_max, wall, pot)

@@ -29,7 +29,6 @@ _LOG_QUOT_CAP = 709.0  # just below log(largest float), so exp stays finite
 _MAX_ITER = 20000  # matvec budget of top_eigenvalue
 _KRYLOV = 64  # largest Lanczos basis: 64 rows of the window length
 _BREAKDOWN = 1e-14  # Lanczos step norm taken as an invariant Krylov space
-_PIVMIN = 1e-300  # smallest tridiagonal pivot magnitude, keeps 1/d finite
 # eigen-window fallback of localization_certificate: windows [0, 128],
 # [0, 256], ... up to 2^13, each solved by top_eigenvalue to a residual of
 # 1e-9 relative (_EIG_TOL), settled once the eigenvalue moves by <= 1e-8,
@@ -95,57 +94,6 @@ class EigenEstimate:
     converged: bool
 
 
-def _sturm_below(alpha: list[float], beta2: list[float], mu: float) -> int:
-    """Eigenvalues below ``mu`` of the symmetric tridiagonal matrix with
-    diagonal ``alpha`` and squared off-diagonal ``beta2`` (beta2[i] couples
-    rows i - 1 and i, beta2[0] = 0): the negative LDL^T pivots of T - mu I
-    (Sturm count, Golub-Van Loan 8.4)."""
-    below = 0
-    d = 1.0
-    for a, b2 in zip(alpha, beta2):
-        d = a - mu - b2 / d
-        if d == 0.0:
-            d = -_PIVMIN
-        below += d < 0.0
-    return below
-
-
-def _top_ritz(alpha: list[float], beta: list[float]) -> list[float]:
-    """Unit eigenvector of the largest eigenvalue of the tridiagonal matrix
-    T (diagonal ``alpha``, off-diagonal ``beta``): bisection on the Sturm
-    count down to rounding, then inverse iteration with mu I - T, which is
-    positive semidefinite for the mu found, so its LDL^T needs no pivoting."""
-    k = len(alpha)
-    beta2 = [0.0] + [b * b for b in beta]
-    radius = [abs(x) + abs(y) for x, y in zip([0.0] + beta, beta + [0.0])]
-    lo = min(a - r for a, r in zip(alpha, radius))
-    hi = max(a + r for a, r in zip(alpha, radius))
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if _sturm_below(alpha, beta2, mid) == k:
-            hi = mid
-        else:
-            lo = mid
-    # hi I - T = L D L^T; a pivot lost to rounding becomes one ulp of hi
-    d = []
-    for a, b2 in zip(alpha, beta2):
-        d.append(max(hi - a - b2 / (d[-1] if d else 1.0),
-                     math.ulp(hi) + _PIVMIN))
-    lower = [-b / di for b, di in zip(beta, d)]
-    y = [1.0] * k
-    for _ in range(2):
-        for i in range(1, k):
-            y[i] -= lower[i - 1] * y[i - 1]
-        y = [yi / di for yi, di in zip(y, d)]
-        for i in range(k - 2, -1, -1):
-            y[i] -= lower[i] * y[i + 1]
-        norm = math.sqrt(math.fsum(yi * yi for yi in y))
-        y = [yi / norm for yi in y]
-    return y
-
-
 def _lanczos_cycle(op: PinnedOperator, basis: np.ndarray, x: np.ndarray,
                    ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """One Lanczos run from the unit vector x (with ax = A x) over the rows
@@ -171,8 +119,9 @@ def _lanczos_cycle(op: PinnedOperator, basis: np.ndarray, x: np.ndarray,
             break
         beta.append(b)
         basis[j + 1] = w / b
-    y = np.array(_top_ritz(alpha, beta))
-    x = y @ basis[:len(y)]
+    # top eigenvector of the k x k tridiagonal (k <= _KRYLOV) from LAPACK
+    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    x = np.linalg.eigh(t)[1][:, -1] @ basis[:len(alpha)]
     x /= np.linalg.norm(x)
     return x, op.matvec(x), len(alpha)
 

@@ -73,7 +73,7 @@ def test_criterion_01_oracle_equivalence():
                      ("mix_power", 0, pots["mix_power"])]
         for _, wall, pot in variants:
             prof = partition_profile(k, 14, wall=wall, pot=pot)
-            z = oracle_partition(k, 14, wall=wall, pot=pot, mode="float")
+            z = oracle_partition(k, 14, wall=wall, pot=pot)
             for L in range(1, 15):
                 worst = max(worst, abs(math.exp(prof[L]) - z[L]) / z[L])
     _report(1, "transfer matches brute-force oracle", worst <= 1e-12, t0, 60,
@@ -178,12 +178,11 @@ def test_criterion_06_decoupling_inequality():
         dec = decouple(pot, b, s2)
         assert dec.rho_sum == pytest.approx(1.0, rel=1e-12)
         L = int(rng.choice([6, 9, 12]))
-        lhs = oracle_partition(k, L, wall=0, pot=pot, mode="float")[L]
+        lhs = oracle_partition(k, L, wall=0, pot=pot)[L]
         rhs = sum(
             lp.rho_j * oracle_partition(
                 k, L, wall=0,
-                pot=make_family("single", j=lp.j, amplitude=lp.kappa_j),
-                mode="float")[L]
+                pot=make_family("single", j=lp.j, amplitude=lp.kappa_j))[L]
             for lp in dec.levels if lp.rho_j > 0
         )
         ok &= lhs <= rhs * (1 + 1e-12)

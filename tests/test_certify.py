@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from wetting_lab import certify, spectral
+from wetting_lab import certify, potentials, spectral
 from wetting_lab.certificates import (
     Certificate,
     DELOCALIZED_EMPIRICAL,
@@ -290,6 +290,65 @@ def test_deloc_exhaustive_sweeps_one_midpoint_profile(monkeypatch):
         assert step.samples.stop - 1 == e.scale
         alone = midpoint_prob(K5, e.scale, 0)[step.samples.start:].max()
         assert step.worst_midpoint == pytest.approx(alone, rel=1e-15)
+
+
+@pytest.mark.parametrize("spec, n, L_max", [
+    ("binomial:sigma2=0.1", 90, 128),
+    ("binomial:sigma2=0.5", 90, 64),
+    ("sos:beta=2.5", 400, 64),
+])
+@pytest.mark.parametrize("amp", [0.01, 0.2])
+def test_out_of_reach_levels_share_one_base_sweep(monkeypatch, spec, n,
+                                                  L_max, amp):
+    # reference: every level's own base case, as a per-level run measures
+    kernel = parse_kernel_spec(spec)
+    pot = make_family("list", values=[amp * (j + 1) ** -3.0 for j in range(n)])
+    b = rho(pot, kernel.sigma2).upper
+    per_level = {j: base_case_check(kernel, j, b, L_max) for j in pot.support}
+    lo = max([0.0] + [r.max_ratio - 1.0 for r in per_level.values()])
+    hi = min(max_feasible_delta(b * kernel.sigma2 / (j + 1))
+             for j in pot.support)
+
+    swept = []
+    real = certify.base_case_check
+
+    def counting(kernel, j, b, L_max):
+        swept.append(j)
+        return real(kernel, j, b, L_max)
+
+    monkeypatch.setattr(certify, "base_case_check", counting)
+    cert = delocalization_certificate(kernel, pot, L_max=L_max)
+    reach = (L_max // 2) * kernel.max_step
+    assert n - 1 > reach + 1  # some walls are out of reach
+    assert swept == list(range(reach + 2))
+    if lo >= hi - 1e-9:
+        assert cert.verdict == UNDETERMINED
+        assert cert.params["delta_window"] == (lo, hi)
+        return
+    delta = cert.params["delta"]
+    assert delta == 0.5 * (lo + hi)
+    # the rows the certificate leaves out would all have passed
+    assert all(r.max_ratio <= 1.0 + delta for r in per_level.values())
+    row, = [e for e in cert.evidence if e.check == f"base_ratio[j={reach + 1}]"]
+    assert f"covers levels {reach + 1}..{n - 1} ({n - reach - 1} levels)" \
+        in row.detail
+    assert not any(e.check.startswith(f"doubling[j={reach + 1},")
+                   for e in cert.evidence)
+
+
+def test_deloc_builds_no_level_pins(monkeypatch):
+    # certify reads only the weight sum; the per-level split is built on
+    # first read, from the same terms in the same order
+    pot = make_family("power", delta=3.0, amplitude=0.05)
+    dec = potentials.decouple(pot, 0.4, K5.sigma2)
+    assert dec.rho_sum == sum(lp.rho_j for lp in dec.levels)
+
+    def refuse(**kw):
+        raise AssertionError("a LevelPin was built")
+
+    monkeypatch.setattr(potentials, "LevelPin", refuse)
+    cert = delocalization_certificate(K5, pot, L_max=256)
+    assert cert.evidence[0].check == "decoupling_weight_sum"
 
 
 def test_cached_profiles_are_read_only():

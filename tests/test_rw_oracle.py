@@ -144,7 +144,7 @@ def test_oracle_is_the_exact_height_dp(gap_kernel):
     for name, kernel, wall, pot in _cases(gap_kernel):
         cap = max_enumerable_L(kernel)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            z = oracle_partition(kernel, cap, wall=wall, pot=pot, mode="float")
+            z = oracle_partition(kernel, cap, wall=wall, pot=pot)
         for L in range(1, cap + 1):
             assert _rel(z[L], _exact_z(kernel, L, wall, pot)) <= 1e-14, \
                 (name, L)
@@ -189,7 +189,7 @@ def test_fraction_and_float_modes_agree():
     # the oracle's own fraction mode
     pot = make_family("list", values=[0.15, 0.0, 0.3])
     cap = max_enumerable_L(K5)
-    z = oracle_partition(K5, cap, wall=0, pot=pot, mode="float")
+    z = oracle_partition(K5, cap, wall=0, pot=pot)
     for L in range(1, cap + 1):
         assert _rel(z[L], _exact_z(K5, L, 0, pot)) <= 1e-14, L
 
@@ -198,18 +198,14 @@ def test_errors_fire_with_a_warm_memo():
     # the oracle keeps no memo to warm: errors fire after calls at the cap
     # just as on a first call, and change no later value
     cap = max_enumerable_L(K5)
-    warm = [oracle_partition(K5, cap, wall=w, mode="float").tolist()
-            for w in (None, 0)]
+    warm = [oracle_partition(K5, cap, wall=w).tolist() for w in (None, 0)]
     with pytest.raises(ParameterError):
-        oracle_partition(K5, 0, mode="float")
+        oracle_partition(K5, 0)
     with pytest.raises(ParameterError):
-        oracle_partition(K5, 3, wall=-1, mode="float")
+        oracle_partition(K5, 3, wall=-1)
     with pytest.raises(RefusalError):
-        oracle_partition(K5, cap + 1, mode="float")
-    for mode in ("auto", "fraction"):
-        with pytest.raises(ParameterError):
-            oracle_partition(K5, 3, mode=mode)
-    assert [oracle_partition(K5, cap, wall=w, mode="float").tolist()
+        oracle_partition(K5, cap + 1)
+    assert [oracle_partition(K5, cap, wall=w).tolist()
             for w in (None, 0)] == warm
 
 
@@ -224,9 +220,8 @@ def test_memo_holds_values_only_and_stays_bounded():
     # float within 1e-14 of the exact DP
     before = _module_containers()
     calls = [(L, wall) for wall in range(20) for L in (3, 14, 8)]
-    profiles = [oracle_partition(K5, L, wall=w, mode="float")
-                for L, w in calls]
-    again = [oracle_partition(K5, L, wall=w, mode="float")[L]
+    profiles = [oracle_partition(K5, L, wall=w) for L, w in calls]
+    again = [oracle_partition(K5, L, wall=w)[L]
              for L, w in reversed(calls)]
     assert _module_containers() == before
     first = [z[L] for (L, _), z in zip(calls, profiles)]

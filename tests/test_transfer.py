@@ -450,13 +450,13 @@ def test_matches_oracle_randomized():
                 "list", values=rng.uniform(0.0, 0.5,
                                            size=rng.integers(1, 4)).tolist())
         z_t = math.exp(partition_profile(k, L, wall=wall, pot=pot)[L])
-        z_o = oracle_partition(k, L, wall=wall, pot=pot, mode="float")[L]
+        z_o = oracle_partition(k, L, wall=wall, pot=pot)[L]
         assert z_t == pytest.approx(z_o, rel=1e-12)
 
 
 def test_matches_oracle_sos_kernel():
     k = make_sos(3.0, tail_tol=1e-6)
-    z_o = oracle_partition(k, 5, mode="float")
+    z_o = oracle_partition(k, 5)
     for L in range(1, 6):
         z_t = math.exp(partition_profile(k, L)[L])
         assert z_t == pytest.approx(z_o[L], rel=1e-12)
