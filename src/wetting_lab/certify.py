@@ -35,12 +35,6 @@ from .certificates import (
 from .errors import ParameterError, positive_finite
 from .kernels import WalkKernel, parse_kernel_spec
 from .potentials import PinningPotential, decouple, make_family, parse_potential_spec, rho
-from .spectral import (
-    _EIG_H_CAP,
-    _min_pivot,
-    localization_certificate,
-    pinned_operator,
-)
 from .transfer import free_energy, midpoint_prob, partition_profile
 
 # Shipped midpoint calibration constant: smallest C (on a half-integer grid)
@@ -374,6 +368,8 @@ def wetting_threshold(
     to 1.  If a midpoint is neither certifiable nor localized
     the bracket stops shrinking and is returned with ``stalled`` set.
     """
+    from .spectral import localization_certificate
+
     trail: list[tuple[float, str]] = []
     hi_route = ""  # every localized amplitude becomes the upper end
 
@@ -420,6 +416,8 @@ def free_energy_crossing(
     exactly 1), while at the lower end I - A is positive definite on the
     window, which would miss only a bound state wider than 2^13.
     """
+    from .spectral import _EIG_H_CAP, _min_pivot, pinned_operator
+
     def positive(amp: float) -> bool:
         op = pinned_operator(kernel, make_pot(amp), _EIG_H_CAP)
         return _min_pivot(op, 1.0) <= 0.0
@@ -447,6 +445,8 @@ class ScanPoint:
 
 
 def _scan_one(args) -> dict:
+    from .spectral import localization_certificate
+
     point, L_max, deterministic_timing = args
     t0 = time.perf_counter()
     row = {c: "" for c in SCAN_COLUMNS}

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -440,6 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # move every object that exists after import (numpy's above all) into
+    # the permanent generation: collections, the one at interpreter
+    # shutdown included, then skip them, and objects made by the run are
+    # collected as before
+    gc.freeze()
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

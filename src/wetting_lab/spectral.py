@@ -217,8 +217,13 @@ def _min_pivot(op: PinnedOperator, shift: float) -> float:
     blocks of reward-free rows (the stencil is symmetric) come first and are
     cached.  All pivots positive means shift*I - A is positive definite
     (Sylvester's law of inertia): every Rayleigh quotient of A on the window,
-    or on any block of it, is below ``shift``."""
-    m, b, e = op.max_step, max(64, op.max_step), op.exp_half[::-1]
+    or on any block of it, is below ``shift``.  The leading block goes
+    first, in forward order: where it is not positive definite the window
+    is not either, and the far end's free rows are never factored."""
+    m, b = op.max_step, max(64, op.max_step)
+    if _eliminate(op.stencil, m, shift, op.exp_half[:b])[0] == 0.0:
+        return 0.0
+    e = op.exp_half[::-1]
     rows = np.flatnonzero(e != 1.0).min(initial=op.dim) // b * b
     state = _free_blocks(op.stencil.tobytes(), m, shift, rows)
     return _eliminate(op.stencil, m, shift, e, rows, *state)[0]

@@ -220,6 +220,42 @@ def test_cli_import_leaves_the_path_modules_unloaded():
     assert out.strip() == "[]"
 
 
+def _fresh_main(argv, tmp_path, report):
+    """Run cli.main(argv) in a fresh interpreter, so this process keeps its
+    own module set and GC state; returns what the ``report`` expression
+    prints after main returns, and main's exit code."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    argv = list(argv) + ["--out-dir", str(tmp_path)]
+    code = ("import gc, json, sys; from wetting_lab.cli import main; "
+            f"frozen = gc.get_freeze_count(); rc = main({argv!r}); "
+            f"print(json.dumps([rc, {report}]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["certify-deloc", "--kernel", "binomial:sigma2=0.5",
+      "--pot", "single:j=0,eps=0.05", "--L-max", "256"], False),
+    (["threshold", "--kernel", "binomial:sigma2=0.1", "--family",
+      "single:j=0", "--amp-lo", "0.01", "--amp-hi", "0.2", "--tol", "1",
+      "--L-max", "512"], True),
+], ids=["certify-deloc", "threshold"])
+def test_spectral_is_loaded_only_where_it_runs(tmp_path, argv, loaded):
+    rc, seen = _fresh_main(argv, tmp_path,
+                           "'wetting_lab.spectral' in sys.modules")
+    assert (rc, seen) == (0, loaded)
+
+
+def test_main_freezes_the_import_time_heap(tmp_path):
+    # the objects made at import sit in the permanent generation after
+    # main, so neither run-time collections nor the shutdown one walk them
+    rc, (before, after) = _fresh_main(
+        ["verify-clt", "--kernel", "binomial:sigma2=0.5", "--L-max", "4"],
+        tmp_path, "[frozen, gc.get_freeze_count()]")
+    assert rc == 0 and before == 0 and after > 0
+
+
 def test_refusal_exit_code(tmp_path, capsys):
     rc = main(["saw-verify", "--L-list", "2", "--beta-list", "1.0",
                "--cap", "4", "--out-dir", str(tmp_path)])

@@ -363,6 +363,32 @@ def test_free_block_cache_is_exact():
         state[1][0, 0] = 0.0
 
 
+def test_localized_window_stops_in_its_leading_block(monkeypatch):
+    # at eps = 0.0575 the leading 64 rows alone are not positive definite,
+    # so a cold cache stays cold; near the transition (0.0515) the leading
+    # block passes and the far end decides, as without the first block
+    spectral._free_blocks.cache_clear()
+    rows = []
+    real = spectral._free_blocks
+
+    def counting(stencil, m, shift, n):
+        rows.append(n)
+        return real(stencil, m, shift, n)
+
+    monkeypatch.setattr(spectral, "_free_blocks", counting)
+    shift = 1.0 + 1e-8
+    for kernel, eps in ((K1, 0.0575), (make_sos(2.5), 0.105)):
+        pot = make_family("single", j=0, amplitude=eps)
+        assert _min_pivot(pinned_operator(kernel, pot, 8192), shift) == 0.0
+    assert rows == []
+    assert real.cache_info().currsize == 0
+    op = pinned_operator(K1, make_family("single", j=0, amplitude=0.0515),
+                         8192)
+    assert spectral._eliminate(op.stencil, 1, shift, op.exp_half[:64])[0] > 0
+    assert _min_pivot(op, shift) == 0.0
+    assert rows == [8192]
+
+
 def test_inertia_row_moves_with_the_reward(monkeypatch):
     # the threshold workload's three points ruled out by inertia; eliminated
     # from the far end, the 8,192 free rows reach the bulk pivot 0.050022
