@@ -34,15 +34,15 @@ from .transfer import clt_band, free_energy, partition_profile
 def _write_json(out_dir: str, name: str, obj) -> None:
     """Write ``obj``, a dict or a dataclass record, as indented sorted-key
     strict JSON with a final newline; the one writer of every JSON output.
-    A NaN or infinity writes nothing: in run.json it came from an option
-    (ParameterError), in an output from the computation (RefusalError)."""
+    A NaN or infinity, which only a computation can produce (every float
+    option is finite once parsed), writes nothing: a RefusalError."""
     if is_dataclass(obj):
         obj = asdict(obj)
     try:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
-        error = ParameterError if name == "run.json" else RefusalError
-        raise error(f"{name} would hold a non-finite number; nothing written")
+        raise RefusalError(
+            f"{name} would hold a non-finite number; nothing written")
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, name), "w") as fh:
         fh.write(text + "\n")
@@ -66,11 +66,35 @@ def _numbers(text: str, what: str, kind=float) -> list:
     return values
 
 
-def _check_L_max(L_max: int) -> None:
-    """An --L-max below 1 covers no length, so a check over it would pass
-    vacuously: a parameter error."""
-    if L_max < 1:
-        raise ParameterError("--L-max must be at least 1")
+def _count(text: str) -> int:
+    """The parser type of every length and worker count: an integer of at
+    least 1, since a range below 1 covers no length and a check over it
+    would pass vacuously."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0  # not an integer: the same refusal
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}")
+    return n
+
+
+def _finite(text: str) -> float:
+    """The parser type of every float option: a finite number."""
+    try:
+        return spec_number(text, "option")
+    except ParameterError:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose every error, on the command line or in a run.json
+    given to rerun, is a ParameterError instead of usage text and exit 2."""
+
+    def error(self, message):
+        raise ParameterError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +120,6 @@ def _cmd_free_energy(args) -> int:
 def _cmd_phase_scan(args) -> int:
     from .certify import SCAN_COLUMNS, ScanPoint, phase_scan
 
-    _check_L_max(args.L_max)
     amps = _numbers(args.amps, "--amps")
     points = [
         ScanPoint(kernel_spec=k, family_spec=f, amplitude=a)
@@ -114,7 +137,6 @@ def _cmd_phase_scan(args) -> int:
 def _cmd_certify_deloc(args) -> int:
     from .certify import delocalization_certificate
 
-    _check_L_max(args.L_max)
     kernel = parse_kernel_spec(args.kernel)
     pot = parse_potential_spec(args.pot)
     cert = delocalization_certificate(
@@ -136,7 +158,6 @@ def _cmd_certify_loc(args) -> int:
 def _cmd_threshold(args) -> int:
     from .certify import wetting_threshold
 
-    _check_L_max(args.L_max)
     kernel = parse_kernel_spec(args.kernel)
 
     def make_pot(amp: float):
@@ -156,11 +177,11 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_verify_clt(args) -> int:
-    if args.L_max < max(1, args.L_min):
-        raise ParameterError("--L-max must be at least 1 and at least --L-min")
+    if args.L_max < args.L_min:
+        raise ParameterError("--L-max must be at least --L-min")
     kernel = parse_kernel_spec(args.kernel)
     grid = []
-    L = max(1, args.L_min)
+    L = args.L_min
     while L <= args.L_max:
         grid.append(L)
         L *= 2
@@ -246,7 +267,6 @@ def _cmd_saw_verify(args) -> int:
 def _cmd_oracle_check(args) -> int:
     from .rw_oracle import max_enumerable_L, oracle_partition
 
-    _check_L_max(args.L_max)
     rows = []
     worst = 0.0
     for s2 in _numbers(args.sigma2_list, "--sigma2-list"):
@@ -278,33 +298,27 @@ def _cmd_oracle_check(args) -> int:
 _RETIRED = frozenset({"c0", "deterministic"})
 
 
-def _stored_value(action: argparse.Action, value):
-    """A run.json value as the parser would have produced it: text, or a
-    JSON number written as text, through the option's ``type=``; a flag
-    takes a bool, an appended option a list.  Anything else is a
-    ParameterError."""
-    if value is None and action.default is None and not action.required:
-        return None
-    bad = ParameterError(
-        f"config option {action.dest} has a bad value {value!r}")
+def _tokens(action: argparse.Action, value) -> list:
+    """The ``--option=value`` tokens that give a run.json value: a flag
+    takes a bool, an appended option a list, and a JSON number only an
+    option with a type; null is left out where the default is None."""
+    def text(v):
+        return isinstance(v, str) or (
+            type(v) in (int, float) and action.type is not None)
 
-    def convert(v):
-        number = isinstance(v, (int, float)) and not isinstance(v, bool)
-        if isinstance(v, str) or (number and action.type is not None):
-            try:
-                return (action.type or str)(str(v))
-            except ValueError:
-                pass
-        raise bad
-
+    option = action.option_strings[0]
+    if value is None and action.default is None:
+        return []
     if action.nargs == 0:  # a store_true flag
         if isinstance(value, bool):
-            return value
+            return [option] if value else []
     elif not isinstance(action, argparse._AppendAction):
-        return convert(value)
-    elif isinstance(value, list):
-        return [convert(v) for v in value]
-    raise bad
+        if text(value):
+            return [f"{option}={value}"]
+    elif isinstance(value, list) and all(map(text, value)):
+        return [f"{option}={v}" for v in value]
+    raise ParameterError(
+        f"config option {action.dest} has a bad value {value!r}")
 
 
 def _cmd_rerun(args) -> int:
@@ -329,18 +343,13 @@ def _cmd_rerun(args) -> int:
     if unknown:
         raise ParameterError(
             f"config options not declared by {sub}: {unknown}")
-    options = {}
-    for dest, action in declared.items():
-        if dest in stored:
-            options[dest] = _stored_value(action, stored[dest])
-        elif action.required:
-            raise ParameterError(
-                f"config lacks the required option {action.option_strings[0]}")
-        else:
-            options[dest] = action.default
+    tokens = [t for dest, value in stored.items() if dest in declared
+              for t in _tokens(declared[dest], value)]
     if args.out_dir is not None:
-        options["out_dir"] = args.out_dir
-    return _run(sub, options, parser.get_default("func"))
+        tokens.append(f"--out-dir={args.out_dir}")
+    options = vars(parser.parse_args(tokens))
+    func = options.pop("func")
+    return _run(sub, options, func)
 
 
 def _run(subcommand: str, options: dict, func) -> int:
@@ -351,7 +360,7 @@ def _run(subcommand: str, options: dict, func) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="wetting-lab",
         description="Pinning / wetting toolkit: partition functions, "
                     "certificates, scans.",
@@ -361,14 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, *specs):  # then each named spec as a required option
         p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_count, default=1)
         for name in specs:
             p.add_argument(f"--{name}", required=True)
 
     p = sub.add_parser("free-energy", help="growth-rate estimate")
     common(p, "kernel", "pot")
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--L-cross", type=int, default=4096)
+    p.add_argument("--tol", type=_finite, default=1e-4)
+    p.add_argument("--L-cross", type=_count, default=4096)
     p.set_defaults(func=_cmd_free_energy)
 
     p = sub.add_parser("phase-scan", help="grid of certificates + f estimates")
@@ -376,18 +385,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", action="append", required=True)
     p.add_argument("--family", action="append", required=True)
     p.add_argument("--amps", required=True, help="comma-separated amplitudes")
-    p.add_argument("--L-max", type=int, default=1024)
+    p.add_argument("--L-max", type=_count, default=1024)
     p.add_argument("--deterministic", action="store_true",
                    help="zero the wall_time_s column")
     p.set_defaults(func=_cmd_phase_scan)
 
     p = sub.add_parser("certify-deloc", help="scale-doubling certificate")
     common(p, "kernel", "pot")
-    p.add_argument("--b", type=float, default=None,
+    p.add_argument("--b", type=_finite, default=None,
                    help="decoupling constant (default: rho's upper bound, at "
                         "least 1e-9)")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--L-max", type=int, default=4096)
+    p.add_argument("--delta", type=_finite, default=None)
+    p.add_argument("--L-max", type=_count, default=4096)
     p.add_argument("--exhaustive", action="store_true",
                    help="no effect: every scale of each doubling window is "
                         "always checked")
@@ -399,16 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="bracket the wetting threshold")
     common(p, "kernel", "family")
-    p.add_argument("--amp-lo", type=float, required=True)
-    p.add_argument("--amp-hi", type=float, required=True)
-    p.add_argument("--tol", type=float, default=0.05)
-    p.add_argument("--L-max", type=int, default=4096)
+    p.add_argument("--amp-lo", type=_finite, required=True)
+    p.add_argument("--amp-hi", type=_finite, required=True)
+    p.add_argument("--tol", type=_finite, default=0.05)
+    p.add_argument("--L-max", type=_count, default=4096)
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("verify-clt", help="normalised bridge mass over L")
     common(p, "kernel")
-    p.add_argument("--L-min", type=int, default=1)
-    p.add_argument("--L-max", type=int, default=16384)
+    p.add_argument("--L-min", type=_count, default=1)
+    p.add_argument("--L-max", type=_count, default=16384)
     p.set_defaults(func=_cmd_verify_clt)
 
     p = sub.add_parser("saw-enumerate", help="dump self-avoiding paths")
@@ -428,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="transfer vs brute-force oracle")
     common(p)
     p.add_argument("--sigma2-list", default="0.1,0.5")
-    p.add_argument("--L-max", type=int, default=12)
+    p.add_argument("--L-max", type=_count, default=12)
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("rerun", help="re-execute a run from its run.json")
@@ -446,17 +455,15 @@ def main(argv=None) -> int:
     # shutdown included, then skip them, and objects made by the run are
     # collected as before
     gc.freeze()
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         if args.subcommand == "rerun":
             return args.func(args)
         options = {k: v for k, v in vars(args).items()
                    if k not in ("func", "subcommand")}
         return _run(args.subcommand, options, args.func)
+    except SystemExit:  # --help and --version print, then exit 0
+        return 0
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1

@@ -113,8 +113,7 @@ def _sweep(kernel: WalkKernel, T: int, window: _Window,
     rows a leg of T steps can reach (read, as one slice, only when the edge
     carries mass), the open sides double and the step is redone from the
     zero-padded previous vector; past ``_STATE_CAP`` rows a relative edge
-    mass above ``DEFECT_TOL`` sets the flag and ends the sweep, and a max of
-    0 (every path died inside the window) ends it unflagged.  From step 2
+    mass above ``DEFECT_TOL`` sets the flag and ends the sweep.  From step 2
     on every step is the same map, so once step k returns its input bit for
     bit (the vectors hold no NaN and no -0.0) every later one returns it
     with the same max m: the sweep ends with the fixed point (k, m)."""
@@ -143,9 +142,6 @@ def _sweep(kernel: WalkKernel, T: int, window: _Window,
             u = prev if (diag is None or t == 1) else prev * diag
             v = np.correlate(u, stencil, "same")
             m = v.item(v.argmax())  # the max, without a ufunc reduction
-            if m <= 0.0:
-                flush()
-                return False, None
             v = np.divide(v, m, out=buf[len(ms) + 1])
             if mstep == 1:
                 edge = v.item(-1) if walled else max(v.item(-1), v.item(0))

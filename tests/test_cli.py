@@ -209,15 +209,21 @@ def test_non_finite_output_is_a_refusal(tmp_path, capsys):
 
 
 def test_cli_import_leaves_the_path_modules_unloaded():
-    # and the certificate modules: each subcommand imports what it runs
+    # and the certificate modules: each subcommand imports what it runs,
+    # and the package itself loads nothing, numpy included
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    code = ("import sys, wetting_lab.cli; print(sorted(m for m in "
-            "('wetting_lab.saw', 'wetting_lab.rw_oracle', "
-            "'wetting_lab.certify', 'wetting_lab.spectral') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+
+    def loaded(module, names):
+        code = (f"import sys, {module}; "
+                f"print(sorted(m for m in {names!r} if m in sys.modules))")
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              check=True, capture_output=True,
+                              text=True).stdout.strip()
+
+    assert loaded("wetting_lab.cli", (
+        "wetting_lab.saw", "wetting_lab.rw_oracle", "wetting_lab.certify",
+        "wetting_lab.spectral", "wetting_lab.certificates")) == "[]"
+    assert loaded("wetting_lab", ("numpy",)) == "[]"
 
 
 def _fresh_main(argv, tmp_path, report):
@@ -595,7 +601,8 @@ def test_rerun_refuses_unreadable_configs(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("cap", "x"), ("cap", 8.5), ("beta_list", 3), ("out_dir", 5),
+    ("cap", "x"), ("cap", 8.5), ("cap", None), ("cap", True),
+    ("beta_list", 3), ("out_dir", 5),
 ])
 def test_rerun_refuses_mistyped_values(tmp_path, capsys, monkeypatch,
                                        key, value):
@@ -611,3 +618,88 @@ def test_rerun_refuses_mistyped_values(tmp_path, capsys, monkeypatch,
     assert err.startswith("parameter error:") and key in err
     assert sorted(os.listdir()) == ["a", "bad_run.json"]
     assert sorted(os.listdir("a")) == ["run.json", "saw_verify.json"]
+
+
+def test_option_errors_print_no_usage(tmp_path, capsys):
+    assert main(["free-energy", "--kernel", "binomial:sigma2=0.5",
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error:") and "--pot" in err
+    assert "usage:" not in err
+    assert not (tmp_path / "out").exists()
+    # asking for the usage still prints it
+    assert main(["free-energy", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage:")
+
+
+def test_rerun_refuses_an_empty_required_list(tmp_path, capsys):
+    # an appended option takes a list, and an empty one gives no value: a
+    # required --kernel then has none, and no empty scan runs
+    d1 = tmp_path / "a"
+    assert main(["phase-scan", *RUNS["phase-scan"], "--out-dir", str(d1)]) == 0
+    cfg = json.load(open(d1 / "run.json"))
+    cfg["options"]["kernel"] = []
+    empty = tmp_path / "empty_run.json"
+    empty.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["rerun", "--config", str(empty),
+                 "--out-dir", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error:") and "--kernel" in err
+    assert not (tmp_path / "b").exists()
+
+
+def test_rerun_passes_values_that_start_with_a_dash(tmp_path):
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    assert main(["saw-enumerate", "--y=-2.5,0", "--cap", "2",
+                 "--out-dir", str(d1)]) == 0
+    assert main(["rerun", "--config", str(d1 / "run.json"),
+                 "--out-dir", str(d2)]) == 0
+    assert _outputs(d1) and _outputs(d1) == _outputs(d2)
+
+
+# the options whose values are counts (integers >= 1) and finite floats;
+# every option with a parser type is one of these or --cap
+COUNTS = {"workers", "L_max", "L_min", "L_cross"}
+FLOATS = {"tol", "b", "delta", "amp_lo", "amp_hi"}
+
+
+def _subparsers():
+    (subs,) = [a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return {name: p for name, p in subs.choices.items() if name != "rerun"}
+
+
+def _malformed_values():
+    cases = []
+    for sub, parser in sorted(_subparsers().items()):
+        for action in parser._actions:
+            if action.type is None or action.dest == "cap":
+                continue
+            assert action.dest in COUNTS | FLOATS, action.dest
+            for text in (("0", "-3") if action.dest in COUNTS
+                         else ("nan", "inf")):
+                cases.append(pytest.param(
+                    sub, action.option_strings[0], action.dest, text,
+                    id=f"{sub}{action.option_strings[0]}={text}"))
+    return cases
+
+
+@pytest.mark.parametrize("sub, option, dest, text", _malformed_values())
+def test_malformed_values_fail_alike_in_argv_and_run_json(
+        tmp_path, capsys, sub, option, dest, text):
+    out = tmp_path / "out"
+    assert main([sub, *RUNS[sub], option, text, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error:") and option in err
+    assert not out.exists()
+    # the same value stored in a run.json, as the number JSON holds
+    options = vars(_subparsers()[sub].parse_args(RUNS[sub]))
+    del options["func"]
+    options[dest] = int(text) if dest in COUNTS else float(text)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"subcommand": sub, "options": options}))
+    assert main(["rerun", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error:") and option in err
+    assert not out.exists()
