@@ -54,7 +54,7 @@ def main() -> int:
         for j in js:
             top = max([2] + [math.ceil(c * (j + 1) ** 2 / s2) * m
                              for c in cs for m in mults])
-            profiles[s2, j] = midpoint_prob(kernel, top, j)
+            profiles[s2, j] = midpoint_prob(kernel, top, j)[1]
     chosen = None
     for c in cs:
         ok, witness = works(c, profiles, mults)

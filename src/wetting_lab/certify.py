@@ -12,7 +12,9 @@ scales L_n = 2^n L_0 with L_0 = (C/2)(j+1)^2/sigma^2.  If
 then the ratio bound propagates to every larger scale.  The midpoint bound
 is checked at every scale of every window up to a finite L_max, from one
 midpoint profile per level swept to L_max (each window reads its slice);
-the verdict is therefore labelled empirical and carries that scale.
+the verdict is therefore labelled empirical and carries that scale.  The
+free bridge's log Z, the denominator of every ratio, comes from the same
+reward-free sweep as level 0's midpoint profile.
 Localized verdicts come only from the spectral engine.  Multi-level
 potentials are first split into single-level problems with weights rho_j;
 the split needs sum rho_j <= 1, which is checked, never assumed.
@@ -58,22 +60,25 @@ def _scale_L0(j: int, sigma2: float) -> float:
     return 0.5 * SCALE_CONSTANT * (j + 1) ** 2 / sigma2
 
 
-def base_scale(j: int, sigma2: float) -> int:
-    """L_1 = 2 L_0 = C (j+1)^2 / sigma^2, the end of the base-case window."""
-    return max(2, int(math.ceil(2.0 * _scale_L0(j, sigma2))))
+def base_scale(j: int, sigma2: float) -> int | float:
+    """L_1 = 2 L_0 = C (j+1)^2 / sigma^2, the end of the base-case window;
+    inf where that is beyond the float range, so no L_max reaches it."""
+    L1 = 2.0 * _scale_L0(j, sigma2)
+    return max(2, math.ceil(L1)) if L1 < math.inf else math.inf
 
 
 @lru_cache(maxsize=128)
-def _profile_cached(kernel: WalkKernel, L: int, j: int | None):
-    """The profiles up to L that no amplitude enters: the midpoint profile
-    at wall depth j, or for j None the free bridge's log Z.  Read-only, and
-    shared by every certificate (and so by every bisection point of a
-    threshold run) on the same kernel and length; a certificate sweeps each
-    to its L_max once and reads prefixes and slices of it."""
-    prof = (partition_profile(kernel, L) if j is None
-            else midpoint_prob(kernel, L, j))
-    prof.flags.writeable = False
-    return prof
+def _profile_cached(kernel: WalkKernel, L: int, j: int):
+    """``midpoint_prob``'s (log Z, midpoint profile) up to L at wall depth
+    j: the profiles no amplitude enters, from one reward-free sweep.  log Z
+    is the same for every j, and certify reads it from level 0's entry.
+    Read-only, and shared by every certificate (and so by every bisection
+    point of a threshold run) on the same kernel and length; a certificate
+    sweeps each level to its L_max once and reads prefixes and slices."""
+    pair = midpoint_prob(kernel, L, j)
+    for a in pair:
+        a.flags.writeable = False
+    return pair
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,7 @@ def base_case_check(kernel: WalkKernel, j: int, b: float,
                     L_max: int) -> BaseCaseResult:
     """Largest ratio Z_pinned/Z_free over L up to L_1, or up to L_max if that
     is shorter; the base case holds for every delta with max_ratio <= 1+delta.
-    The free log Z is read from the one profile swept to L_max."""
+    The free log Z is read from level 0's profiles swept to L_max."""
     if b < 0:
         raise ParameterError("need b >= 0")
     eps = b * kernel.sigma2 / (j + 1)
@@ -96,7 +101,7 @@ def base_case_check(kernel: WalkKernel, j: int, b: float,
     top = min(L1, L_max)
     pin = partition_profile(kernel, top, wall=j,
                             pot=make_family("single", j=0, amplitude=eps))
-    free = _profile_cached(kernel, L_max, None)
+    free = _profile_cached(kernel, L_max, 0)[0]
     best, worst = 0.0, 1
     for L in range(1, top + 1):
         r = _ratio(pin[L] - free[L])
@@ -148,7 +153,7 @@ def doubling_step_check(kernel: WalkKernel, j: int, b: float, delta: float,
     samples = range(max(L_lo + 1, 2), L_hi + 1)
     worst = 0.0
     if samples:
-        prof = _profile_cached(kernel, L_max, j)
+        prof = _profile_cached(kernel, L_max, j)[1]
         worst = float(prof[samples.start:samples.stop].max())
         ok &= worst <= 0.75 + _SLACK
     return DoublingStepResult(
@@ -281,7 +286,7 @@ def delocalization_certificate(
             n += 1
 
     prof_pot = partition_profile(kernel, L_max, wall=0, pot=pot)
-    prof_free = _profile_cached(kernel, L_max, None)
+    prof_free = _profile_cached(kernel, L_max, 0)[0]
     L = 2
     grid = []
     while L < L_max:

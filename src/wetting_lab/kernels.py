@@ -8,7 +8,9 @@ requires, for a constant c0 in (0, 1],
 
 which forces p(0) >= 1 - sigma^2 >= 1/2 and irreducibility.  The condition
 is stated here, not checked: the constructors enforce only the variance
-range (the tests check the built families against it).  Kernels with
+range (the tests check the built families against it), whose floor is the
+smallest normal float: below it 1/sigma^2 overflows, and with it rho and
+the base scale of the certificates.  Kernels with
 infinite support (the geometric / solid-on-solid family) are truncated at a
 finite stencil with the discarded mass recorded before renormalisation.
 """
@@ -16,6 +18,7 @@ finite stencil with the discarded mass recorded before renormalisation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +86,11 @@ def _finalize(
         raise ParameterError(
             f"{family} kernel has effective sigma2 {sigma2_eff:.4g}; "
             "it must be finite and > 0")
+    if sigma2_eff < sys.float_info.min:
+        raise ParameterError(
+            f"{family} kernel has effective sigma2 {sigma2_eff:.4g}, below the "
+            f"smallest normal float {sys.float_info.min:.4g}: 1/sigma2, and "
+            "with it rho and the base scale L_1, overflow")
     return WalkKernel(
         offsets=offsets,
         probs=probs,

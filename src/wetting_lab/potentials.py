@@ -79,6 +79,14 @@ def _exp_tail(amplitude: float, delta: float, j_max: int) -> float:
     return amplitude * x ** (j_max + 1) * ((j_max + 2) - (j_max + 1) * x) / (1 - x) ** 2
 
 
+def _tail_refusal(family: str, delta: float, amplitude: float,
+                  tol: float) -> ParameterError:
+    return ParameterError(
+        f"the weighted tail bound of {family}:delta={delta:g},amp="
+        f"{amplitude:g} stays above the tolerance {tol:g} at every level up "
+        f"to the cap {_J_CAP}; use a larger delta or a smaller amp")
+
+
 def make_family(
     family: str,
     *,
@@ -117,8 +125,7 @@ def make_family(
         x = math.exp(-delta)
         # the tail bound falls as jm grows, so this settles every jm <= _J_CAP
         if x == 1.0 or _exp_tail(amplitude, delta, _J_CAP) > weighted_tail_tol:
-            raise ParameterError("exp family cannot meet tail tolerance below "
-                                 "the level cap")
+            raise _tail_refusal("exp", delta, amplitude, weighted_tail_tol)
         jm = 0
         while _exp_tail(amplitude, delta, jm) > weighted_tail_tol:
             jm += 1
@@ -141,14 +148,11 @@ def make_family(
                     f"power rewards overflow at delta={delta:g}") from None
             return _build(eps, math.inf,
                           f"power:delta={delta:g},amp={amplitude:g},sign=-")
+        if _power_tail(amplitude, delta, _J_CAP) > weighted_tail_tol:
+            raise _tail_refusal("power", delta, amplitude, weighted_tail_tol)
         jm = 0
         while _power_tail(amplitude, delta, jm) > weighted_tail_tol:
-            jm = max(jm + 1, int(jm * 1.3))
-            if jm > _J_CAP:
-                raise ParameterError(
-                    "power family cannot meet tail tolerance below the level cap; "
-                    "loosen weighted_tail_tol"
-                )
+            jm = min(max(jm + 1, int(jm * 1.3)), _J_CAP)
         eps = tuple(amplitude * (i + 1) ** expo for i in range(jm + 1))
         return _build(eps, _power_tail(amplitude, delta, jm),
                       f"power:delta={delta:g},amp={amplitude:g},sign=+")

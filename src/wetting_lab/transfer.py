@@ -17,7 +17,8 @@ Every kernel is symmetric, so a bridge of length 2t or 2t-1 splits at
 time t into legs of t and t or t-1 steps from height 0: one sweep of
 ceil(L/2) steps (each one ``np.correlate`` of the scaled state vector with
 the reversed stencil, one max and one division) gives the log Z and
-midpoint profiles up to L; ``certify`` caches the amplitude-free ones.
+midpoint profiles up to L.  ``midpoint_prob`` reads both from the one
+reward-free sweep it runs, which is what ``certify`` caches.
 Callers read every length they need from one profile, the normalised CLT
 rows of ``clt_band`` included.
 
@@ -181,6 +182,42 @@ def _sweep(kernel: WalkKernel, T: int, window: _Window,
     return False, None
 
 
+def _log_z(kernel: WalkKernel, L_max: int, wall: int | None,
+           pot: PinningPotential | None, also=None):
+    """``partition_profile``'s sweep, with ``also``, a second reader of
+    ``_sweep``'s blocks, fed the same ones; returns (log Z, fixed point)."""
+    T = (L_max + 1) // 2
+    logz = np.full(2 * T + 1, -math.inf)
+    scale = 0.0  # the log of the product of the maxima read so far
+
+    def read(rows, ms, t, window, diag):
+        nonlocal scale
+        s = np.add.accumulate(np.concatenate(([scale], np.log(ms))))
+        d = np.ones(rows.shape[1]) if diag is None else diag
+        h = min(1.0, _SUM_MAX / d.max())  # 1.0 unless a reward is near e^709
+        out = logz[2 * t + 1:2 * (t + len(ms)) + 1].reshape(-1, 2)
+        odd, even = (np.log(np.einsum("ij,j,ij->i", a, d * h, rows[1:]))
+                     for a in (rows[:-1], rows[1:]))
+        out[:, 0] = s[:-1] + s[1:] + odd - math.log(h)
+        out[:, 1] = 2.0 * s[1:] + even - math.log(h)
+        scale = s[-1].item()
+        if also is not None:
+            also(rows, ms, t, window, diag)
+
+    window = _make_window(kernel, T, wall, pot)
+    defect, fixed = ((True, None) if window.n > _STATE_CAP else
+                     _sweep(kernel, T, window, pot, read))
+    logz[1] = math.log(kernel.prob(0))  # one step, and no reward at the start
+    if defect:
+        raise TruncationError(
+            f"window growth exhausted at L_max={L_max}",
+            partial=logz[:L_max + 1] if window.n <= _STATE_CAP else None)
+    if fixed:  # add.accumulate adds left to right, as a running scale would
+        logz[2 * fixed[0] + 1:] = math.log(fixed[1])
+        np.add.accumulate(logz[2 * fixed[0]:], out=logz[2 * fixed[0]:])
+    return logz[:L_max + 1], fixed
+
+
 def partition_profile(
     kernel: WalkKernel,
     L_max: int,
@@ -200,49 +237,26 @@ def partition_profile(
         raise ParameterError("L_max must be at least 1")
     if wall is not None and wall < 0:
         raise ParameterError("wall depth must be nonnegative")
-    T = (L_max + 1) // 2
-    logz = np.full(2 * T + 1, -math.inf)
-    scale = 0.0  # the log of the product of the maxima read so far
-
-    def read(rows, ms, t, window, diag):
-        nonlocal scale
-        s = np.add.accumulate(np.concatenate(([scale], np.log(ms))))
-        d = np.ones(rows.shape[1]) if diag is None else diag
-        h = min(1.0, _SUM_MAX / d.max())  # 1.0 unless a reward is near e^709
-        out = logz[2 * t + 1:2 * (t + len(ms)) + 1].reshape(-1, 2)
-        odd, even = (np.log(np.einsum("ij,j,ij->i", a, d * h, rows[1:]))
-                     for a in (rows[:-1], rows[1:]))
-        out[:, 0] = s[:-1] + s[1:] + odd - math.log(h)
-        out[:, 1] = 2.0 * s[1:] + even - math.log(h)
-        scale = s[-1].item()
-
-    window = _make_window(kernel, T, wall, pot)
-    defect, fixed = ((True, None) if window.n > _STATE_CAP else
-                     _sweep(kernel, T, window, pot, read))
-    logz[1] = math.log(kernel.prob(0))  # one step, and no reward at the start
-    if defect:
-        raise TruncationError(
-            f"window growth exhausted at L_max={L_max}",
-            partial=logz[:L_max + 1] if window.n <= _STATE_CAP else None)
-    if fixed:  # add.accumulate adds left to right, as a running scale would
-        logz[2 * fixed[0] + 1:] = math.log(fixed[1])
-        np.add.accumulate(logz[2 * fixed[0]:], out=logz[2 * fixed[0]:])
-    return logz[:L_max + 1]
+    return _log_z(kernel, L_max, wall, pot)[0]
 
 
-def midpoint_prob(kernel: WalkKernel, L: int, j: int) -> np.ndarray:
-    """Midpoint profile: entry l is P(both heights at times floor(l/2),
-    floor(l/2)+1 stay >= -j) under the unconstrained bridge of length l, for
-    every 2 <= l <= L.  Entries 0 and 1 are unused (1.0).  Where
-    j >= l*max_step the wall is out of reach and the entry is exactly 1.0.
+def midpoint_prob(kernel: WalkKernel, L: int,
+                  j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log Z, midpoint profile) of the unconstrained bridge up to length L,
+    both read from one sweep.  log Z is ``partition_profile(kernel, L)``,
+    bit for bit.  Entry l of the profile is P(both heights at times
+    floor(l/2), floor(l/2)+1 stay >= -j) under the bridge of length l, for
+    every 2 <= l <= L.  Entries 0 and 1 are unused (1.0), so L = 1 reads
+    log Z alone.  Where j >= l*max_step the wall is out of reach and the
+    entry is exactly 1.0.
 
     Legs of s and s-1 steps end at the middle heights of the bridge of
     length 2s, two legs of s-1 steps at those of 2s-1, joined by one step
     P.  As P v_{s-1} = m_s v_s, the bridge sums are m_s |v_s|^2 and
     m_s v_{s-1}.v_s; the event's are the same over heights >= -j, less the
     joining steps that start in the m = max_step rows below -j."""
-    if L < 2:
-        raise ParameterError("needs L >= 2")
+    if L < 1:
+        raise ParameterError("needs L >= 1")
     if j < 0:
         raise ParameterError("j must be nonnegative")
     T = (L + 1) // 2
@@ -263,13 +277,10 @@ def midpoint_prob(kernel: WalkKernel, L: int, j: int) -> np.ndarray:
                             rows[:-1, max(w - m, 0):w])
             out[:, col] = (high - cut / ms) / (high + low)
 
-    defect, fixed = _sweep(kernel, T, _make_window(kernel, T, None, None),
-                           None, read)
-    if defect:
-        raise TruncationError(f"midpoint window exhausted at L={L}, j={j}")
+    log_z, fixed = _log_z(kernel, L, None, None, also=read)
     if fixed:  # every later pair of legs is the pair at the fixed point
         prof[2 * fixed[0] + 1:] = prof[2 * fixed[0]]
-    return prof[:L + 1]
+    return log_z, prof[:L + 1]
 
 
 def clt_band(kernel: WalkKernel, L_list: list[int]) -> list[tuple[int, float]]:

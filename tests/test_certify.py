@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from wetting_lab import certify, potentials, spectral
+from wetting_lab import certify, potentials, spectral, transfer
 from wetting_lab.certificates import (
     Certificate,
     DELOCALIZED_EMPIRICAL,
@@ -83,7 +83,7 @@ def test_doubling_step_passes_normally():
     # every scale of the window (16, 32] is checked
     assert list(res.samples) == list(range(17, 33))
     assert res.worst_midpoint == pytest.approx(max(
-        midpoint_prob(K5, L, 0)[L] for L in res.samples), rel=1e-14)
+        midpoint_prob(K5, L, 0)[1][L] for L in res.samples), rel=1e-14)
 
 
 def test_doubling_step_fails_when_wall_unfelt(monkeypatch):
@@ -175,7 +175,7 @@ def test_sweeps_and_induction_raise_no_float_error(kernel, pot):
     kernel, pot = parse_kernel_spec(kernel), parse_potential_spec(pot)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         prof = partition_profile(kernel, 256, wall=0, pot=pot)
-        mid = midpoint_prob(kernel, 256, 0)
+        mid = midpoint_prob(kernel, 256, 0)[1]
         cert = delocalization_certificate(kernel, pot, L_max=256)
     assert np.isfinite(prof[1:]).all()
     assert ((0.0 < mid) & (mid <= 1.0)).all()
@@ -223,37 +223,33 @@ def test_wetting_threshold_contract():
 
 
 def _count_profile_sweeps(monkeypatch):
-    """Record the free-bridge (L_max) and midpoint (L, j) sweeps that
-    certify runs from an empty profile cache."""
+    """Record the step count of every sweep of the reward-free walk (no
+    wall, no potential) that certify runs from an empty profile cache,
+    whichever function runs it."""
     certify._profile_cached.cache_clear()
-    free, mid = [], []
-    real_free, real_mid = certify.partition_profile, certify.midpoint_prob
+    free = []
+    real = transfer._sweep
 
-    def counting_free(kernel, L_max, *, wall=None, pot=None):
-        if wall is None and pot is None:
-            free.append(L_max)
-        return real_free(kernel, L_max, wall=wall, pot=pot)
+    def counting(kernel, T, window, pot, read):
+        if pot is None and not window.walled:
+            free.append(T)
+        return real(kernel, T, window, pot, read)
 
-    def counting_mid(kernel, L, j):
-        mid.append((L, j))
-        return real_mid(kernel, L, j)
-
-    monkeypatch.setattr(certify, "partition_profile", counting_free)
-    monkeypatch.setattr(certify, "midpoint_prob", counting_mid)
-    return free, mid
+    monkeypatch.setattr(transfer, "_sweep", counting)
+    return free
 
 
 def test_threshold_sweeps_each_free_profile_once(monkeypatch):
-    # the profiles take no amplitude: one free-bridge sweep to L_max serves
-    # every bisection point's base case (a prefix) and recombined ratios,
-    # and one midpoint sweep to L_max every doubling window (a slice)
-    free, mid = _count_profile_sweeps(monkeypatch)
+    # the profiles take no amplitude: one reward-free sweep of 1,024 steps
+    # gives the free log Z of every bisection point's base case (a prefix)
+    # and recombined ratios, and the midpoint profile of every doubling
+    # window (a slice)
+    free = _count_profile_sweeps(monkeypatch)
     br = wetting_threshold(
         K1, lambda amp: make_family("single", j=0, amplitude=amp),
         0.01, 0.2, L_max=2048)
     assert sum(v != "localized" for _, v in br.trail) >= 2
-    assert free == [2048]
-    assert mid == [(2048, 0)]
+    assert free == [1024]
 
 
 def test_threshold_factors_the_free_rows_once_per_shift():
@@ -279,10 +275,10 @@ def test_deloc_exhaustive_sweeps_one_midpoint_profile(monkeypatch):
     # the benchmark's exhaustive certificate: seven doubling windows
     # (8 2^n, 8 2^{n+1}], the last cut at L_max, read one profile
     pot = parse_potential_spec("single:j=0,eps=0.05")
-    free, mid = _count_profile_sweeps(monkeypatch)
+    free = _count_profile_sweeps(monkeypatch)
     cert = delocalization_certificate(K5, pot, L_max=1536)
     assert cert.verdict == DELOCALIZED_EMPIRICAL
-    assert free == [1536] and mid == [(1536, 0)]
+    assert free == [768]  # the free log Z and level 0's midpoint profile
     rows = [e for e in cert.evidence if e.check.startswith("doubling")]
     assert [e.scale for e in rows] == [32, 64, 128, 256, 512, 1024, 1536]
     # each window's slice matches a profile swept to the window's end alone
@@ -290,7 +286,7 @@ def test_deloc_exhaustive_sweeps_one_midpoint_profile(monkeypatch):
         step = doubling_step_check(K5, 0, cert.params["b"],
                                    cert.params["delta"], n, 1536)
         assert step.samples.stop - 1 == e.scale
-        alone = midpoint_prob(K5, e.scale, 0)[step.samples.start:].max()
+        alone = midpoint_prob(K5, e.scale, 0)[1][step.samples.start:].max()
         assert step.worst_midpoint == pytest.approx(alone, rel=1e-15)
 
 
@@ -354,10 +350,10 @@ def test_deloc_builds_no_level_pins(monkeypatch):
 
 
 def test_cached_profiles_are_read_only():
-    for j in (None, 0):
-        prof = certify._profile_cached(K5, 64, j)
-        with pytest.raises(ValueError):
-            prof[2] = 0.5
+    for L, j in ((64, 0), (64, 3), (1, 0)):
+        for prof in certify._profile_cached(K5, L, j):
+            with pytest.raises(ValueError):
+                prof[1] = 0.5
 
 
 def test_wetting_threshold_rejects_bad_endpoints():
@@ -445,6 +441,9 @@ def test_phase_scan_empty_and_errors_in_row():
 def test_base_scale_formula(monkeypatch):
     assert base_scale(0, 0.5) == 16
     assert base_scale(2, 0.25) == math.ceil(8 * 9 / 0.25)
+    # beyond the float range L_1 is inf, which no L_max reaches
+    assert base_scale(2_000_000, 1e-300) == math.inf
+    assert base_scale(0, 3e-308) == math.inf
     # L_1 = C (j+1)^2 / sigma^2 reads the module's scale constant
     monkeypatch.setattr(certify, "SCALE_CONSTANT", 0.02)
     assert base_scale(10, 0.5) == math.ceil(0.02 * 121 / 0.5)

@@ -198,8 +198,9 @@ def test_non_finite_option_writes_no_run_json(tmp_path, capsys, argv):
 
 
 def test_non_finite_output_is_a_refusal(tmp_path, capsys):
-    # rho divides the rewards by sigma2 = 1e-323 and overflows to inf
-    rc = main(["free-energy", "--kernel", "binomial:sigma2=1e-323",
+    # rho divides the rewards by sigma2 = 2.3e-308, just above the kernels'
+    # floor, and overflows to inf
+    rc = main(["free-energy", "--kernel", "binomial:sigma2=2.3e-308",
                "--pot", "exp:delta=4.94,amp=4.94", "--out-dir", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith(
@@ -529,6 +530,77 @@ def test_certify_deloc_short_of_base_scale(tmp_path):
     assert cert["verdict"] == "undetermined"
     assert cert["valid_up_to"] is None
     assert "L_1=16" in cert["notes"][0]
+
+
+def test_certify_deloc_empty_support_at_L_max_1(tmp_path):
+    # one length, one step: the free bridge's log Z comes from the sweep to
+    # 2 that level 0's profiles run, and the recombined ratio at L = 1 is 1
+    rc = main(["certify-deloc", "--kernel", "binomial:sigma2=0.1",
+               "--pot", "single:j=0,eps=0", "--L-max", "1",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    cert = _strict_json(tmp_path / "certificate.json")
+    assert cert["verdict"] == "delocalized_empirical"
+    assert cert["valid_up_to"] == 1
+    assert [(e["check"], e["scale"], e["measured"]) for e in cert["evidence"]] \
+        == [("decoupling_weight_sum", 0, 0.0), ("recombined_ratio", 1, 1.0)]
+
+
+_FLOOR = "parameter error: {} kernel has effective sigma2 {}, below the " \
+    "smallest normal float 2.225e-308: 1/sigma2, and with it rho and the " \
+    "base scale L_1, overflow\n"
+
+
+@pytest.mark.parametrize("argv, rc, err", [
+    (["certify-deloc", "--kernel", "binomial:sigma2=1e-300",
+      "--pot", "single:j=2000000,eps=0.1"], 0, ""),
+    (["certify-deloc", "--kernel", "binomial:sigma2=1e-310",
+      "--pot", "single:j=0,eps=0.1", "--b", "1"], 1,
+     _FLOOR.format("binomial", "1e-310")),
+    (["certify-deloc", "--kernel", "sos:beta=720",
+      "--pot", "single:j=0,eps=0.1", "--b", "1"], 1,
+     _FLOOR.format("sos", "4.064e-313")),
+    (["threshold", "--kernel", "binomial:sigma2=3e-308", "--family",
+      "single:j=0", "--amp-lo", "1e-320", "--amp-hi", "0.2"], 1,
+     "parameter error: amp_lo=1e-320 is not delocalized-empirical\n"),
+], ids=["deep-level", "binomial-subnormal", "sos-subnormal", "threshold"])
+def test_base_scale_beyond_the_float_range(tmp_path, capsys, argv, rc, err):
+    # L_1 = 8 (j+1)^2 / sigma^2 overflows; no L_max reaches it, so the
+    # certificate is undetermined, and threshold's lower end is not
+    # delocalized; below the sigma2 floor the kernel is refused first
+    assert main(argv + ["--out-dir", str(tmp_path)]) == rc
+    assert capsys.readouterr().err == err
+    if argv[0] == "certify-deloc" and rc == 0:
+        cert = _strict_json(tmp_path / "certificate.json")
+        assert cert["verdict"] == "undetermined"
+        assert cert["notes"] == ["L_max=4096 ends before the base scale "
+                                 "L_1=inf, so the induction covers no scale"]
+
+
+@pytest.mark.parametrize("kernel, shown", [
+    ("binomial:sigma2=1e-310", "1e-310"), ("sos:beta=720", "4.064e-313")])
+@pytest.mark.parametrize("sub", ["certify-loc", "certify-deloc",
+                                 "free-energy"])
+def test_subnormal_sigma2_is_refused_with_its_reason(tmp_path, capsys,
+                                                     kernel, shown, sub):
+    rc = main([sub, "--kernel", kernel, "--pot", "single:j=0,eps=0.1",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == _FLOOR.format(kernel.split(":")[0],
+                                                    shown)
+    assert os.listdir(tmp_path) == ["run.json"]
+
+
+@pytest.mark.parametrize("pot", ["power:delta=0.01,amp=1",
+                                 "exp:delta=1e-05,amp=1"])
+def test_tail_refusal_names_what_the_spec_can_change(tmp_path, capsys, pot):
+    rc = main(["certify-deloc", "--kernel", "binomial:sigma2=0.1",
+               "--pot", pot, "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"parameter error: the weighted tail bound of {pot} stays above the "
+        "tolerance 1e-06 at every level up to the cap 2000000; use a larger "
+        "delta or a smaller amp\n")
 
 
 def test_saw_enumerate_stream(tmp_path):

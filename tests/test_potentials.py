@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wetting_lab import potentials
 from wetting_lab.errors import ParameterError
 from wetting_lab.potentials import (
     LOG2,
@@ -47,6 +48,14 @@ def test_power_family_tail_bound_is_true_bound():
     tail = sum(0.3 * (j + 1) ** (-3.0) * (j + 1)
                for j in range(pot.j_max + 1, pot.j_max + 200000))
     assert tail <= pot.tail_bound <= 1e-4
+
+
+def test_power_family_meets_the_tolerance_at_the_cap():
+    # the bound 1.99 / 2,000,001 meets 1e-6 only at the level cap itself,
+    # past the last level of the search's 1.3x steps below it
+    pot = make_family("power", delta=1.0, amplitude=1.99)
+    assert pot.j_max == potentials._J_CAP
+    assert pot.tail_bound <= 1e-6
 
 
 def test_power_nonsummable_sign():

@@ -213,7 +213,7 @@ def test_sweep_is_byte_identical_to_the_reference(kspec):
         ref = _reference_profile(kernel, L, wall=wall, pot=pot)
         _assert_z_close(new, ref)
     for L, j in itertools.product((700, 701), (0, 3)):
-        new = midpoint_prob(kernel, L, j)
+        new = midpoint_prob(kernel, L, j)[1]
         ref = _reference_midpoint(kernel, L, j)
         np.testing.assert_allclose(new, ref, rtol=0, atol=1e-14)
 
@@ -380,14 +380,26 @@ def _midpoint_by_enumeration(kernel, L, js):
     return {j: num[j] / den for j in js}
 
 
+@pytest.mark.parametrize("kspec", [
+    "binomial:sigma2=0.1", "binomial:sigma2=0.5", "sos:beta=2.5"])
+@pytest.mark.parametrize("L", [700, 701])
+@pytest.mark.parametrize("j", [0, 3])
+def test_midpoint_log_z_is_the_free_profile(kspec, L, j):
+    # one sweep, two readers: the log Z read beside the midpoint profile is
+    # the free bridge's, bit for bit
+    kernel = parse_kernel_spec(kspec)
+    assert np.array_equal(midpoint_prob(kernel, L, j)[0],
+                          partition_profile(kernel, L))
+
+
 def test_midpoint_matches_enumeration():
     for s2 in (0.5, 0.1):
         k = make_binomial(s2)
-        profiles = {j: midpoint_prob(k, 9, j) for j in (0, 1)}
+        profiles = {j: midpoint_prob(k, 9, j)[1] for j in (0, 1)}
         for L in range(2, 10):
             want = _midpoint_by_enumeration(k, L, (0, 1))
             for j, p in want.items():
-                assert midpoint_prob(k, L, j)[L] == pytest.approx(p, rel=1e-12)
+                assert midpoint_prob(k, L, j)[1][L] == pytest.approx(p, rel=1e-12)
                 assert profiles[j][L] == pytest.approx(p, rel=1e-12)
 
 
@@ -395,21 +407,21 @@ def test_midpoint_profile_matches_per_scale():
     for k in (make_binomial(0.5), make_binomial(0.1), make_sos(2.5)):
         for j in (0, 3):
             L = 97
-            prof = midpoint_prob(k, L, j)
+            prof = midpoint_prob(k, L, j)[1]
             assert prof.shape == (L + 1,)
             for ell in range(2, L + 1):
                 if j >= ell * k.max_step:
                     assert prof[ell] == 1.0
                 else:
                     assert prof[ell] == pytest.approx(
-                        midpoint_prob(k, ell, j)[ell], rel=1e-14)
+                        midpoint_prob(k, ell, j)[1][ell], rel=1e-14)
 
 
 def test_midpoint_examples():
-    assert midpoint_prob(K5, 2, 0)[2] == pytest.approx(0.3125 / 0.375,
-                                                       rel=1e-13)
-    assert midpoint_prob(K5, 2, 5)[2] == 1.0  # constraint vacuous
-    vals = [midpoint_prob(K5, 64, j)[64] for j in (0, 1, 2, 4)]
+    assert midpoint_prob(K5, 2, 0)[1][2] == pytest.approx(0.3125 / 0.375,
+                                                          rel=1e-13)
+    assert midpoint_prob(K5, 2, 5)[1][2] == 1.0  # constraint vacuous
+    vals = [midpoint_prob(K5, 64, j)[1][64] for j in (0, 1, 2, 4)]
     assert vals == sorted(vals)  # nested events
     assert vals[0] <= 0.75
 
@@ -487,7 +499,7 @@ def test_sos_kernel_end_to_end():
     prof = partition_profile(k, 2048)
     val = math.sqrt(2 * math.pi * k.sigma2 * 2048) * math.exp(prof[2048])
     assert abs(val - 1.0) < 0.05
-    assert midpoint_prob(k, 640, 0)[640] <= 0.75
+    assert midpoint_prob(k, 640, 0)[1][640] <= 0.75
 
 
 def test_free_energy_zero_potential():
